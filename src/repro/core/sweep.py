@@ -38,8 +38,6 @@ from dataclasses import dataclass, fields, is_dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from repro.trace.codec import TRACE_SCHEMA
-from repro.trace.replay import replay_path_for
-from repro.uarch.fastpath import REPLAY_ENGINE_SCHEMA
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.core.runner import RunConfig, WorkloadRun
@@ -111,16 +109,6 @@ def config_fingerprint(kind: str, name: str, config: "RunConfig") -> str:
         # and on-disk store) instead of silently serving counters
         # derived from an incompatible encoding.
         "trace_schema": TRACE_SCHEMA,
-        # Engine selection is part of provenance: which replay loop
-        # timed the measurement (and that loop's algorithm generation)
-        # is folded in, so a cached result computed by one engine can
-        # never be served for a configuration the other would run —
-        # and an engine algorithm bump invalidates exactly the
-        # fast-path results.
-        "replay": {
-            "engine": REPLAY_ENGINE_SCHEMA,
-            "path": replay_path_for(kind, config),
-        },
         # Fleet cells embed a ServiceCostModel in their configuration;
         # the model's *derivation* (capture -> replay -> quantile table
         # -> sampled draw) is provenance of its own, so its schema is

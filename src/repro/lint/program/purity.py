@@ -4,7 +4,7 @@
 anything it (transitively) computes from must be a pure function of
 its arguments, or two runs of the same sweep silently read different
 cache entries.  This rule takes the *required-pure* set — functions
-named ``config_fingerprint``/``replay_path_for``/``canonical`` plus
+named ``config_fingerprint``/``canonical`` plus
 anything annotated ``# repro-lint: pure -- <why>`` — closes it over
 in-tree callees, and flags every *known-impure* effect in the closure:
 
@@ -35,7 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.lint.engine import FileContext
 
 _REQUIRED_PURE = frozenset(
-    {"config_fingerprint", "replay_path_for", "canonical"})
+    {"config_fingerprint", "canonical"})
 
 
 def _required_roots(model: ProgramModel) -> list[FunctionInfo]:

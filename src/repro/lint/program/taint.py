@@ -38,7 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: without a structural write: a tainted value in a fingerprint
 #: invalidates every cache key derived from it.
 _FINGERPRINT_NAMES = frozenset(
-    {"config_fingerprint", "replay_path_for", "canonical"})
+    {"config_fingerprint", "canonical"})
 
 
 class _Taint:

@@ -1,12 +1,12 @@
 """Hot-path rules.
 
-The columnar replay engine exists because per-uop ``MicroOp``
+The cycle loop reads micro-ops as columns because per-uop ``MicroOp``
 construction dominated the Figure 4 wall clock: one object allocation
 plus nine attribute stores per dynamic micro-op, at ~10⁵ ops per sweep
 cell.  The batched front-end (:mod:`repro.trace.columns`) and the
-columnar loop (:mod:`repro.uarch.fastpath`) removed that cost — and
+columnar cycle loop (:mod:`repro.uarch.core`) removed that cost — and
 this rule keeps it removed, by confining ``MicroOp(...)`` construction
-to the few modules whose *job* is producing decoded micro-ops.
+to the few modules whose *job* is producing micro-ops.
 """
 
 from __future__ import annotations
@@ -34,11 +34,12 @@ class MicroOpConstructionRule(Rule):
     """Per-uop ``MicroOp`` construction outside the sanctioned modules.
 
     A ``MicroOp(...)`` call creeping into the replay or timing layers
-    reintroduces exactly the per-uop allocation the columnar engine was
-    built to eliminate — and it does so silently, because the general
-    loop still accepts decoded streams.  Decode belongs to
-    ``trace/codec.py``; generation belongs to ``machine/runtime.py``
-    and ``core/polluter.py``; the hot path reads
+    reintroduces exactly the per-uop allocation the columnar loop was
+    built to eliminate — and it does so silently, because
+    :meth:`~repro.uarch.core.Core.run` still accepts ``MicroOp``
+    iterators for live generation, so nothing downstream fails.
+    Decode belongs to ``trace/codec.py``; generation belongs to
+    ``machine/runtime.py`` and ``core/polluter.py``; replay reads
     :class:`~repro.trace.columns.ColumnBatch` lists.
     """
 

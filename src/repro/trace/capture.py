@@ -213,8 +213,8 @@ def _capture_op_class(key: TraceKey) -> tuple[CapturedTrace, "ServerApp"]:
     """Capture one fleet op class for cost calibration.
 
     Single-stream by construction (one thread, no fault plan — degraded
-    paths are op classes of their own here) so the columnar fastpath
-    replays it.  Request boundaries are recorded into the trace's meta
+    paths are op classes of their own here), so replay reads it as
+    columns.  Request boundaries are recorded into the trace's meta
     (``request_uops``) for proportional cycle attribution.
     """
     if key.fault_plan is not None:

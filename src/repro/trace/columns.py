@@ -10,14 +10,14 @@ per-uop dispatch dominates the Figure 4 wall clock.
 :class:`ColumnBatch` is the batched alternative: every column is
 materialized *once* as a plain Python list (``array.tolist()`` runs in
 C, and list indexing hands back cached ``int`` objects instead of
-boxing a fresh one per read), and the fast replay loop in
-:mod:`repro.uarch.fastpath` indexes the lists positionally.  Nothing is
-re-decoded per machine configuration: a Figure 4 sweep replays the same
-captured stream against ~6 LLC sizes, and :func:`batch_for` memoizes
-the batch on the stream itself, so the ``tolist`` pass happens once per
-capture, not once per cell.  Per-PC line identifiers — the only decoded
-quantity that depends on a machine parameter — are memoized per line
-shift in :meth:`ColumnBatch.lines`.
+boxing a fresh one per read), and the core's cycle loop (entered
+through :mod:`repro.uarch.fastpath`) indexes the lists positionally.
+Nothing is re-decoded per machine configuration: a Figure 4 sweep
+replays the same captured stream against ~6 LLC sizes, and
+:func:`batch_for` memoizes the batch on the stream itself, so the
+``tolist`` pass happens once per capture, not once per cell.  Per-PC
+line identifiers — the only decoded quantity that depends on a machine
+parameter — are memoized per line shift in :meth:`ColumnBatch.lines`.
 
 Batches are built from *finished* captures only.  An
 ``EncodedStream`` is append-only during capture and immutable
@@ -82,11 +82,9 @@ class ColumnBatch:
 
         One ``(addr, is_write, is_instr, is_os)`` tuple per hierarchy
         access the warming walk performs: an instruction fetch for each
-        new code line plus every load and store, in stream order —
-        exactly what :func:`repro.trace.replay.functional_replay` does
-        per decoded micro-op, with the per-op branching hoisted out of
-        the per-replay loop (a sweep warms the same stream once per
-        machine configuration).
+        new code line plus every load and store, in stream order, with
+        the per-op branching hoisted out of the per-replay loop (a sweep
+        warms the same stream once per machine configuration).
         """
         cached = self._access_ops.get(line_shift)
         if cached is None:

@@ -21,7 +21,9 @@ from typing import TYPE_CHECKING, Iterator, List, Sequence
 
 from repro.faults.watchdog import guard_trace, trace_budget
 from repro.trace.capture import fill_ranges_for
-from repro.trace.replay import fill_lines, functional_replay
+from repro.trace.codec import encode_stream
+from repro.trace.columns import ColumnBatch
+from repro.trace.replay import fill_lines, functional_replay_batch
 from repro.uarch.hierarchy import MemoryHierarchy
 from repro.uarch.uop import MicroOp
 
@@ -37,11 +39,13 @@ def warm_app(app: "ServerApp", hierarchy: MemoryHierarchy,
     """Functionally warm ``hierarchy`` from ``app``, live.
 
     The same walk replay performs from a capture: install the fill
-    ranges, then replay a short live trace without core timing.  This
-    is the implementation behind :meth:`ServerApp.warm`.
+    ranges, then encode a short live trace and warm through it without
+    core timing.  This is the implementation behind
+    :meth:`ServerApp.warm`.
     """
     fill_lines(hierarchy, fill_ranges_for(app))
-    functional_replay(hierarchy, app.trace(0, trace_uops))
+    warm = ColumnBatch(encode_stream(app.trace(0, trace_uops)))
+    functional_replay_batch(hierarchy, warm)
 
 
 def live_stream(app: "ServerApp", tid: int, budget: int,

@@ -29,7 +29,7 @@ from time import perf_counter
 from typing import TYPE_CHECKING, Sequence
 
 from repro.trace.capture import CapturedTrace, TraceKey, capture
-from repro.trace.replay import replay_trace, selected_replay_path
+from repro.trace.replay import replay_trace
 from repro.trace.store import TraceStore
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -58,8 +58,6 @@ class TraceTaps:
     replays: int = 0
     replay_uops: int = 0
     replay_seconds: float = 0.0
-    fast_replays: int = 0
-    general_replays: int = 0
 
     def reset(self) -> None:
         """Zero every tap (test isolation; ``trace stats`` baselines)."""
@@ -84,9 +82,7 @@ class TraceTaps:
             f"{self.capture_rate():,.0f} uops/s), "
             f"{self.replays} replay(s) "
             f"({self.replay_uops} uops, {self.replay_seconds:.2f}s, "
-            f"{self.replay_rate():,.0f} uops/s, "
-            f"{self.fast_replays} columnar / "
-            f"{self.general_replays} general), "
+            f"{self.replay_rate():,.0f} uops/s), "
             f"store {self.store_hits} hit(s) / "
             f"{self.store_misses} miss(es), "
             f"{self.memo_hits} memo hit(s)"
@@ -183,10 +179,6 @@ def replay(captured: CapturedTrace,
     TAPS.replays += 1
     TAPS.replay_seconds += _tick() - started
     TAPS.replay_uops += captured.window_uops()
-    if selected_replay_path(captured, params) == "columnar":
-        TAPS.fast_replays += 1
-    else:
-        TAPS.general_replays += 1
     return result
 
 

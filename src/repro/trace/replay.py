@@ -6,22 +6,15 @@ parameters under test, functionally warm it from the captured fill
 ranges and warm stream, then run the core over the measurement
 stream(s).
 
-Two engines execute the measurement window:
-
-* the **columnar** fast path (:func:`repro.uarch.fastpath.replay_columns`)
-  reads the encoded columns positionally through a
-  :class:`~repro.trace.columns.ColumnBatch` — no per-uop ``MicroOp``
-  objects, no generator resumes.  Selected for the common sweep shape:
-  one captured stream, no SMT, no fault plan;
-* the **general** loop (:meth:`repro.uarch.core.Core.run`) over decoded
-  streams handles everything else (SMT pairs, fault-injected captures).
-
-Both produce byte-identical :class:`~repro.uarch.core.CoreResult`
-counters — the replay-equivalence tests pin fast-vs-general and
-replay-vs-live for every workload in the registry.  Engine selection is
-a pure function of the run configuration (:func:`replay_path_for`) and
-participates in :func:`repro.core.sweep.config_fingerprint`, so cached
-results always record which engine produced them.
+The measurement window goes through the core's one cycle loop.  A
+single captured stream — every capture the figures make, fault-plan
+captures included — enters it through
+:func:`repro.uarch.fastpath.replay_columns`, which reads the encoded
+columns positionally through a :class:`~repro.trace.columns.ColumnBatch`:
+no per-uop ``MicroOp`` objects, no generator resumes.  A multi-stream
+capture is decoded and fed to :meth:`repro.uarch.core.Core.run`, the
+same loop's live entry point.  The replay-equivalence tests pin replay
+against live generation for every workload in the registry.
 
 No watchdog here: the stream length was bounded at capture time, so
 wrapping replay in a guard would only add per-uop overhead to the hot
@@ -44,8 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.trace.capture import CapturedTrace
 
 __all__ = ["TraceSource", "ReplaySource", "fill_lines",
-           "functional_replay", "functional_replay_batch",
-           "replay_trace", "selected_replay_path", "replay_path_for"]
+           "functional_replay_batch", "replay_trace"]
 
 
 class TraceSource(Protocol):
@@ -77,40 +69,18 @@ def fill_lines(hierarchy: MemoryHierarchy,
         llc.install_span(base, nbytes)
 
 
-def functional_replay(hierarchy: MemoryHierarchy,
-                      uops: Iterable[MicroOp]) -> None:
-    """Replay ``uops`` through the hierarchy without core timing.
+def functional_replay_batch(hierarchy: MemoryHierarchy,
+                            batch: ColumnBatch) -> None:
+    """Replay ``batch`` through the hierarchy without core timing.
 
     Orders LRU recency, fills L1/L2/TLBs, and trains the prefetcher
     tables — one instruction-fetch access per new code line plus the
-    load/store data accesses, exactly the warming walk the live runner
-    performs.  The code-line granularity is the hierarchy's own
-    ``line_bytes`` (the same shift the core's fetch stage uses), not a
-    hardcoded 64.
-    """
-    last_line = -1
-    line_shift = hierarchy.params.line_bytes.bit_length() - 1
-    access = hierarchy.access_timed
-    for uop in uops:
-        line = uop.pc >> line_shift
-        if line != last_line:
-            last_line = line
-            access(uop.pc, False, True, uop.is_os)
-        kind = uop.kind
-        if kind == 1:  # LOAD
-            access(uop.addr, False, False, uop.is_os)
-        elif kind == 2:  # STORE
-            access(uop.addr, True, False, uop.is_os)
-
-
-def functional_replay_batch(hierarchy: MemoryHierarchy,
-                            batch: ColumnBatch) -> None:
-    """:func:`functional_replay`, batched over a column view.
-
-    Access-for-access identical to replaying the decoded stream — same
-    per-new-line instruction fetch, same load/store walk — with the
-    per-uop object construction and attribute loads hoisted out and the
-    hierarchy's own batched walk handling the per-access dispatch.
+    load/store data accesses (:meth:`ColumnBatch.access_ops`), walked
+    by the hierarchy's batched :meth:`~MemoryHierarchy.warm_batch`.
+    The code-line granularity is the hierarchy's own ``line_bytes``
+    (the same shift the core's fetch stage uses), not a hardcoded 64.
+    Capture replay and live warming (:func:`repro.trace.live.warm_app`)
+    both warm through here.
     """
     line_shift = hierarchy.params.line_bytes.bit_length() - 1
     hierarchy.warm_batch(batch.access_ops(line_shift))
@@ -132,44 +102,6 @@ class ReplaySource:
         return [stream.decode() for stream in self.captured.streams]
 
 
-def selected_replay_path(captured: "CapturedTrace",
-                         params: MachineParams) -> str:
-    """Which engine :func:`replay_trace` will use: ``columnar`` or ``general``.
-
-    The columnar loop implements exactly the single-thread, no-budget
-    slice of the core model, so it is selected only when the capture has
-    one measurement stream, the machine runs one hardware thread, and
-    the capture carries no injected faults.  A capture whose provenance
-    is missing (no ``fault_events`` in ``meta``) conservatively takes
-    the general loop.
-    """
-    if (
-        len(captured.streams) == 1
-        and params.smt_threads == 1
-        and captured.meta.get("fault_events") == 0
-    ):
-        return "columnar"
-    return "general"
-
-
-def replay_path_for(kind: str, config) -> str:
-    """Engine selection as a function of a sweep cell's configuration.
-
-    Mirrors :func:`selected_replay_path` for fingerprinting: ``kind`` is
-    the :func:`repro.core.sweep.config_fingerprint` cell kind.  Only the
-    trace-driven single-stream kinds (``single``, ``member``) can take
-    the columnar engine; SMT and chip cells time live generation and
-    always use the general loop.
-    """
-    if (
-        kind in ("single", "member")
-        and config.fault_plan is None
-        and config.params.smt_threads == 1
-    ):
-        return "columnar"
-    return "general"
-
-
 def replay_trace(captured: "CapturedTrace",
                  params: MachineParams) -> CoreResult:
     """One timing measurement: warm a fresh hierarchy, run the core.
@@ -189,7 +121,7 @@ def replay_trace(captured: "CapturedTrace",
     try:
         source.warm_into(hierarchy)
         core = Core(params, hierarchy)
-        if selected_replay_path(captured, params) == "columnar":
+        if len(captured.streams) == 1:
             return replay_columns(core, batch_for(captured.streams[0]))
         return core.run(source.streams())
     finally:

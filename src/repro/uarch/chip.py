@@ -22,10 +22,15 @@ from typing import Iterator, Sequence
 from repro.uarch.cache import Cache
 from repro.uarch.coherence import LastWriterDirectory
 from repro.uarch.core import Core, CoreResult
+from repro.uarch.counters import COUNTER_NAMES
 from repro.uarch.dram import MemoryChannels
 from repro.uarch.hierarchy import MemoryHierarchy
 from repro.uarch.params import MachineParams
 from repro.uarch.uop import MicroOp
+
+#: Counters that add across cores and segments: every one but ``mlp``,
+#: a ratio re-weighted by super-queue busy cycles instead.
+_SUMMED_COUNTERS = tuple(name for name in COUNTER_NAMES if name != "mlp")
 
 
 @dataclass
@@ -50,35 +55,7 @@ class ChipResult:
     def summed(self) -> CoreResult:
         total = CoreResult()
         for r in self.per_core:
-            for name in (
-                "cycles",
-                "instructions",
-                "os_instructions",
-                "committing_cycles",
-                "committing_cycles_os",
-                "stalled_cycles",
-                "stalled_cycles_os",
-                "memory_cycles",
-                "superq_busy_cycles",
-                "superq_requests",
-                "loads",
-                "stores",
-                "branches",
-                "branch_mispredicts",
-                "l1i_misses",
-                "l1i_misses_os",
-                "l2i_misses",
-                "l2i_misses_os",
-                "l1d_misses",
-                "l2_demand_hits",
-                "l2_demand_accesses",
-                "llc_misses",
-                "llc_data_refs",
-                "remote_dirty_hits",
-                "remote_dirty_hits_os",
-                "offchip_bytes",
-                "offchip_bytes_os",
-            ):
+            for name in _SUMMED_COUNTERS:
                 setattr(total, name, getattr(total, name) + getattr(r, name))
         busy = sum(r.superq_busy_cycles for r in self.per_core)
         if busy:
@@ -131,7 +108,6 @@ class Chip:
             )
         result = ChipResult(per_core=[CoreResult() for _ in per_core_segments])
         queues = [list(segs) for segs in per_core_segments]
-        round_index = 0
         while any(queues):
             for core_index, queue in enumerate(queues):
                 if not queue:
@@ -139,7 +115,6 @@ class Chip:
                 segment = queue.pop(0)
                 partial = self.cores[core_index].run([segment])
                 _accumulate(result.per_core[core_index], partial)
-            round_index += 1
         return result
 
     def run(self, per_core_traces: Sequence[Iterator[MicroOp]]) -> ChipResult:
@@ -149,35 +124,7 @@ class Chip:
 
 def _accumulate(total: CoreResult, part: CoreResult) -> None:
     busy_before = total.superq_busy_cycles
-    for name in (
-        "cycles",
-        "instructions",
-        "os_instructions",
-        "committing_cycles",
-        "committing_cycles_os",
-        "stalled_cycles",
-        "stalled_cycles_os",
-        "memory_cycles",
-        "superq_busy_cycles",
-        "superq_requests",
-        "loads",
-        "stores",
-        "branches",
-        "branch_mispredicts",
-        "l1i_misses",
-        "l1i_misses_os",
-        "l2i_misses",
-        "l2i_misses_os",
-        "l1d_misses",
-        "l2_demand_hits",
-        "l2_demand_accesses",
-        "llc_misses",
-        "llc_data_refs",
-        "remote_dirty_hits",
-        "remote_dirty_hits_os",
-        "offchip_bytes",
-        "offchip_bytes_os",
-    ):
+    for name in _SUMMED_COUNTERS:
         setattr(total, name, getattr(total, name) + getattr(part, name))
     busy_total = total.superq_busy_cycles
     if busy_total:

@@ -5,8 +5,8 @@ fleet op class instead of the app's mixed serve loop.  Calibration
 correctness rests on three properties pinned here: the recorded
 per-request micro-op counts tile the stream exactly (proportional
 cycle attribution sums to the whole window), the capture is
-single-stream and fault-free by construction (so the columnar fastpath
-replays it), and misuse fails loudly rather than silently pricing the
+single-stream and fault-free by construction (so replay reads it as
+columns), and misuse fails loudly rather than silently pricing the
 wrong thing.
 """
 
@@ -17,8 +17,6 @@ import pytest
 from repro.faults.plan import FaultPlan
 from repro.trace import pipeline
 from repro.trace.capture import TraceKey, capture
-from repro.trace.replay import selected_replay_path
-from repro.uarch.params import MachineParams
 
 
 def _key(op: str, **overrides) -> TraceKey:
@@ -39,7 +37,8 @@ class TestOpClassCapture:
         captured, _app = capture(_key("update"))
         assert captured.meta["fault_events"] == 0
         assert captured.meta["op_class"] == "update"
-        assert selected_replay_path(captured, MachineParams()) == "columnar"
+        # One stream: replay hands it to the cycle loop as columns.
+        assert len(captured.streams) == 1
 
     def test_op_classes_capture_distinct_streams(self):
         read, _ = capture(_key("read"))

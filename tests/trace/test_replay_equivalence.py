@@ -13,14 +13,12 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.runner import RunConfig
 from repro.core.workloads import REGISTRY
 from repro.faults.plan import FaultPlan
 from repro.trace.capture import TraceKey, build_app_for, capture
 from repro.trace.columns import batch_for
 from repro.trace.live import LiveSource
-from repro.trace.replay import (ReplaySource, replay_path_for, replay_trace,
-                                selected_replay_path)
+from repro.trace.replay import ReplaySource, replay_trace
 from repro.trace.store import deserialize, serialize
 from repro.uarch.core import Core
 from repro.uarch.counters import COUNTER_NAMES
@@ -88,12 +86,15 @@ def test_one_capture_serves_many_machine_configs():
 
 
 # ---------------------------------------------------------------------
-# Engine equivalence: the columnar fast path against the general loop.
-# ``replay_trace`` dispatches between the two; these tests run both
-# engines on one capture and demand bit-identical counters.
+# Entry-point equivalence.  The cycle loop has two entry points: a
+# finished ColumnBatch (``replay_columns``, the columnar path every
+# replay takes) and live MicroOp iterators (``Core.run``, the general
+# path SMT pairs, chip segments and ablations take), which it reads
+# through an appendable column buffer.  Fed the same capture, the two
+# must produce bit-identical counters.
 
 def engine_counters(captured, params: MachineParams, engine: str) -> dict:
-    """One measurement through an explicitly chosen replay engine."""
+    """One measurement through an explicitly chosen entry point."""
     source = ReplaySource(captured)
     hierarchy = MemoryHierarchy(params)
     source.warm_into(hierarchy)
@@ -107,7 +108,7 @@ def engine_counters(captured, params: MachineParams, engine: str) -> dict:
 
 @pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_columnar_engine_matches_general_loop(name):
-    """Every counter, every workload: fast path ≡ general loop."""
+    """Every counter, every workload: batch entry ≡ live-iterator entry."""
     key = TraceKey(name, window_uops=WINDOW, warm_uops=WARM)
     captured, _app = capture(key)
     params = MachineParams()
@@ -115,38 +116,6 @@ def test_columnar_engine_matches_general_loop(name):
     general = engine_counters(captured, params, "general")
     assert fast == general
     assert set(fast) == set(COUNTER_NAMES)
-
-
-def test_plain_capture_selects_columnar_engine():
-    key = TraceKey("media-streaming", window_uops=WINDOW, warm_uops=WARM)
-    captured, _app = capture(key)
-    assert selected_replay_path(captured, MachineParams()) == "columnar"
-    # SMT machines fall back to the general loop even for this capture.
-    assert selected_replay_path(captured,
-                                MachineParams().with_smt(2)) == "general"
-
-
-def test_fault_plan_capture_selects_general_loop():
-    """Injected faults must never reach the no-fault fast path."""
-    plan = FaultPlan.degraded(seed=3, intensity=1.5)
-    key = TraceKey("data-serving", window_uops=WINDOW, warm_uops=WARM,
-                   fault_plan=plan)
-    captured, _app = capture(key)
-    assert captured.meta["fault_events"] > 0
-    assert selected_replay_path(captured, MachineParams()) == "general"
-
-
-def test_replay_path_for_mirrors_runtime_selection():
-    """The fingerprint-side selector agrees with the runtime one."""
-    healthy = RunConfig()
-    assert replay_path_for("single", healthy) == "columnar"
-    assert replay_path_for("member", healthy) == "columnar"
-    assert replay_path_for("smt", healthy) == "general"
-    assert replay_path_for("chip", healthy) == "general"
-    faulted = RunConfig(fault_plan=FaultPlan.degraded(seed=3, intensity=1.5))
-    assert replay_path_for("single", faulted) == "general"
-    smt = RunConfig(params=MachineParams().with_smt(2))
-    assert replay_path_for("single", smt) == "general"
 
 
 def wide_line_params() -> MachineParams:
@@ -164,7 +133,7 @@ def wide_line_params() -> MachineParams:
 def test_wide_line_hierarchy_replays_identically():
     """128-byte lines: warming and replay honour the configured size.
 
-    Guards the ``fill_lines``/``functional_replay`` fix — both used to
+    Guards the ``fill_lines``/functional-warming fix — both used to
     hardcode 64-byte steps, so a non-default line size warmed the wrong
     lines and replay silently diverged from live timing.
     """
@@ -174,7 +143,7 @@ def test_wide_line_hierarchy_replays_identically():
 
 
 def test_wide_line_engines_agree():
-    """Fast-vs-general equivalence holds at line_bytes=128 too."""
+    """Entry-point equivalence holds at line_bytes=128 too."""
     key = TraceKey("web-search", window_uops=WINDOW, warm_uops=WARM)
     captured, _app = capture(key)
     params = wide_line_params()
