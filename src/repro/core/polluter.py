@@ -65,9 +65,9 @@ def polluter_trace(
 
 
 def warm_polluter(llc: Cache, array_bytes: int) -> None:
-    """Pre-install the polluter array in the LLC (its steady state)."""
-    for offset in range(0, array_bytes, _LINE):
-        llc.fill(_POLLUTER_BASE + offset)
+    """Pre-install the polluter array in the LLC (its steady state),
+    at the LLC's own line size."""
+    llc.install_ranges([(_POLLUTER_BASE, array_bytes)])
 
 
 def polluted_params(params: MachineParams, effective_mb: float) -> MachineParams:

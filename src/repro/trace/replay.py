@@ -57,16 +57,18 @@ class TraceSource(Protocol):
 
 def fill_lines(hierarchy: MemoryHierarchy,
                ranges: Iterable[tuple[int, int]]) -> None:
-    """Install every line of ``(base, nbytes)`` ranges into the LLC.
+    """Install ``(base, nbytes)`` ranges into the LLC, in order.
 
-    The line size comes from the LLC being warmed — a 128-byte-line
+    Each range installs ``ceil(nbytes / line_bytes)`` consecutive lines
+    starting at ``base``'s line
+    (:meth:`~repro.uarch.cache.Cache.install_ranges`), so a range that
+    starts mid-line can leave out the line holding its last bytes.  The
+    line size comes from the LLC being warmed — a 128-byte-line
     hierarchy must be filled at 128-byte granularity, not a hardcoded
     64 (walking such a hierarchy with a 64-byte step would double-count
     every line's LRU touch and halve the effective reach of the walk).
     """
-    llc = hierarchy.llc
-    for base, nbytes in ranges:
-        llc.install_span(base, nbytes)
+    hierarchy.llc.install_ranges(ranges)
 
 
 def functional_replay_batch(hierarchy: MemoryHierarchy,

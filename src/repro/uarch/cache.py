@@ -1,14 +1,24 @@
 """Set-associative cache with LRU replacement and per-class statistics.
 
 The implementation favours simulation speed: each set is a plain dict
-keyed by tag (Python dicts preserve insertion order, so popping and
-re-inserting a key implements LRU move-to-front in O(1)).  Per-line
-metadata (dirty, prefetched-and-not-yet-used) is the dict value.
+keyed by line number (Python dicts preserve insertion order, so popping
+and re-inserting a key implements LRU move-to-front in O(1)).
+
+A line's metadata is the dict value, packed into one int: bit 0 is
+*dirty*, bit 1 is *prefetched* (brought in by a prefetcher and not yet
+demanded), and the bits above them hold ``pf_penalty``, the residual
+latency a demand pays if it arrives before that prefetch has fully
+landed.  A clean demand-installed line is the shared int ``0``, so a
+full LLC holds no per-line objects for the collector to track.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from repro.uarch.params import CacheParams
 
@@ -46,21 +56,6 @@ class CacheStats:
             setattr(self, name, getattr(self, name) + getattr(other, name))
 
 
-@dataclass(slots=True)
-class LineState:
-    """Metadata stored with each resident line.
-
-    ``slots=True`` matters here: a simulation holds and churns hundreds
-    of thousands of these, and dropping the per-instance ``__dict__``
-    roughly halves both the allocation cost and the number of
-    containers the cyclic GC has to traverse.
-    """
-
-    dirty: bool = False
-    prefetched: bool = False  # brought in by a prefetcher, not yet demanded
-    pf_penalty: int = 0  # residual latency if demanded before fully fetched
-
-
 @dataclass
 class EvictedLine:
     addr: int
@@ -79,7 +74,7 @@ class Cache:
         self.num_sets = params.num_sets
         self.assoc = params.assoc
         self.latency = params.latency
-        self._sets: list[dict[int, LineState]] = [dict() for _ in range(self.num_sets)]
+        self._sets: list[dict[int, int]] = [dict() for _ in range(self.num_sets)]
         self.stats = CacheStats()
         # Residual latency charged by the last demand hit that consumed a
         # still-in-flight prefetch (read by the hierarchy after access()).
@@ -118,16 +113,13 @@ class Cache:
         if state is not None:
             # LRU bump: re-insert at the most-recently-used position.
             del cset[line]
-            cset[line] = state
-            if state.prefetched:
-                state.prefetched = False
+            if state & 2:
                 stats.prefetch_useful += 1
                 # A late prefetch: the demand arrives while the fill is
                 # still in flight and pays part of the source latency.
-                self.consumed_pf_penalty = state.pf_penalty
-                state.pf_penalty = 0
-            if is_write:
-                state.dirty = True
+                self.consumed_pf_penalty = state >> 2
+                state &= 1
+            cset[line] = state | is_write
             stats.demand_hits += 1
             if is_instr:
                 stats.inst_hits += 1
@@ -158,183 +150,103 @@ class Cache:
     ) -> EvictedLine | None:
         """Install a line, evicting the LRU line of its set if needed.
 
-        Returns the evicted line (for writeback propagation) or None.
+        A line already resident keeps its LRU position: it turns dirty
+        if ``dirty``, and a demand fill clears its not-yet-used prefetch
+        marking.  Returns the evicted line (for writeback propagation)
+        or None.
         """
         line = addr >> self._line_shift
         cset = self._sets[line % self.num_sets]
         existing = cset.get(line)
         if existing is not None:
-            existing.dirty = existing.dirty or dirty
-            if not prefetched:
-                existing.prefetched = False
-                existing.pf_penalty = 0
+            existing |= dirty
+            cset[line] = existing if prefetched else existing & 1
             return None
         victim = None
         if len(cset) >= self.assoc:
             old_line, old_state = next(iter(cset.items()))
             del cset[old_line]
-            if old_state.dirty:
+            if old_state & 1:
                 self.stats.writebacks += 1
-            if old_state.prefetched:
+            if old_state & 2:
                 self.stats.prefetch_unused_evicted += 1
             victim = EvictedLine(
                 addr=old_line << self._line_shift,
-                dirty=old_state.dirty,
-                was_unused_prefetch=old_state.prefetched,
+                dirty=bool(old_state & 1),
+                was_unused_prefetch=bool(old_state & 2),
             )
-        cset[line] = LineState(dirty=dirty, prefetched=prefetched,
-                               pf_penalty=pf_penalty)
+        cset[line] = dirty | prefetched << 1 | pf_penalty << 2
         if prefetched:
             self.stats.prefetch_issued += 1
         return victim
 
-    def fill_fast(
-        self,
-        addr: int,
-        dirty: bool = False,
-        prefetched: bool = False,
-        pf_penalty: int = 0,
-    ) -> int:
-        """:meth:`fill` without the victim record: the hot-path variant.
+    def install_ranges(self, ranges: Iterable[tuple[int, int]]) -> None:
+        """Install the lines of ``(base, nbytes)`` ranges, range by range.
 
-        Returns the evicted line's byte address if that line was dirty
-        (the only victims the hierarchy propagates — they ripple as
-        writebacks), else ``-1``.  Statistics, LRU order, and the
-        existing-line merge are identical to :meth:`fill`; on eviction
-        the victim's :class:`LineState` is recycled for the incoming
-        line instead of allocating a fresh one (no caller retains line
-        state across a fill).
+        Exactly :meth:`fill` (default arguments, victim discarded) for
+        every ``addr`` in ``range(base, base + nbytes, line_bytes)`` of
+        each range in turn: ``ceil(nbytes / line_bytes)`` consecutive
+        lines starting at ``base``'s line.  A range that starts mid-line
+        can therefore stop one line short: the line holding its last
+        bytes is not installed.
+
+        LRU state is per set and the statistics are plain counters, so
+        only the install order within each set matters.  All ranges are
+        expanded at once and their lines grouped by set in install order
+        (:func:`_lines_by_set`).  When a set's group repeats no line and
+        finds none of its lines resident, every install is a miss: the
+        set ends as its surviving old lines followed by the group's last
+        lines, and only the old lines it evicts touch the statistics, so
+        the set is built in one step.  Any other set is walked line by
+        line.
         """
-        line = addr >> self._line_shift
-        cset = self._sets[line % self.num_sets]
-        existing = cset.get(line)
-        if existing is not None:
-            existing.dirty = existing.dirty or dirty
-            if not prefetched:
-                existing.prefetched = False
-                existing.pf_penalty = 0
-            return -1
-        victim_addr = -1
-        if len(cset) >= self.assoc:
-            old_line, old_state = next(iter(cset.items()))
-            del cset[old_line]
-            if old_state.dirty:
-                self.stats.writebacks += 1
-                victim_addr = old_line << self._line_shift
-            if old_state.prefetched:
-                self.stats.prefetch_unused_evicted += 1
-            old_state.dirty = dirty
-            old_state.prefetched = prefetched
-            old_state.pf_penalty = pf_penalty
-            cset[line] = old_state
-        else:
-            cset[line] = LineState(dirty, prefetched, pf_penalty)
-        if prefetched:
-            self.stats.prefetch_issued += 1
-        return victim_addr
-
-    def install_span(self, base: int, nbytes: int) -> None:
-        """Install every line of ``[base, base + nbytes)``, batched.
-
-        Equivalent to calling :meth:`fill` (with default arguments, the
-        victim discarded) once per line of the span, but with the
-        per-line method dispatch and victim-record allocation hoisted —
-        functional warming installs tens of thousands of lines per
-        replay through this path.  Statistic updates and LRU behaviour
-        are identical to the per-line walk.
-        """
-        shift = self._line_shift
-        num_sets = self.num_sets
         assoc = self.assoc
+        grouped, bounds, repeats = _lines_by_set(
+            ranges, self._line_shift, self.num_sets, assoc)
         sets = self._sets
-        stats = self.stats
-        # The addresses stepped from ``base`` by one line map onto
-        # consecutive line numbers regardless of alignment, so the walk
-        # can iterate lines directly.
-        l0 = base >> shift
-        nlines = (nbytes + self.line_bytes - 1) // self.line_bytes
-        end = l0 + nlines
-        if nlines >= num_sets * assoc and not any(
-            l0 <= line < end for cset in sets for line in cset
-        ):
-            # The span floods every set with at least ``assoc`` fresh
-            # lines, and none of its lines are already resident: every
-            # pre-existing line is evicted no matter what (charge its
-            # eviction stats), the span's own non-surviving lines come
-            # and go clean (no stats), and the final state is exactly
-            # the span's last ``num_sets * assoc`` lines in install
-            # order.  Skipping the doomed installs makes warming a
-            # larger-than-LLC footprint O(capacity), not O(footprint).
-            start = end - num_sets * assoc
-            for s in range(num_sets):
-                old = sets[s]
-                new = {}
-                olds = iter(old.values())
-                first = start + ((s - start) % num_sets)
-                for line in range(first, end, num_sets):
-                    state = next(olds, None)
-                    if state is None:
-                        new[line] = LineState()
-                    else:
-                        # Charge the recycled line's eviction and reset
-                        # it to a fresh clean install.
-                        if state.dirty:
-                            stats.writebacks += 1
-                        if state.prefetched:
-                            stats.prefetch_unused_evicted += 1
-                        state.dirty = False
-                        state.prefetched = False
-                        state.pf_penalty = 0
-                        new[line] = state
-                sets[s] = new
-            return
-        # Walk the span one set at a time (the span's lines land in sets
-        # round-robin, so set s receives every ``num_sets``-th line).
-        # Within a set the install order matches the sequential walk;
-        # across sets the order is immaterial (LRU state is per set and
-        # the statistics are plain counters).
-        for s in range(min(nlines, num_sets)):
-            first = l0 + s
-            set_index = first % num_sets
-            cset = sets[set_index]
-            if not cset:
-                # Empty set: the sequential walk installs this set's
-                # span lines in ascending order, evicting only the
-                # span's own earlier lines once past ``assoc`` — all
-                # clean, never prefetched, so no statistics fire and
-                # the final content is exactly the last ``assoc`` lines
-                # in install order.
-                span = range(first, end, num_sets)
-                k = len(span)
-                if k > assoc:
-                    span = span[k - assoc:]
-                sets[set_index] = {line: LineState() for line in span}
+        writebacks = unused = 0
+        for s, start, tail, end in bounds:
+            cset = sets[s]
+            if not cset and s not in repeats:
+                sets[s] = dict.fromkeys(grouped[tail:end].tolist(), 0)
+                continue
+            group = grouped[start:end].tolist()
+            if s not in repeats and cset.keys().isdisjoint(group):
+                # Every install misses, so the set ends as its old lines
+                # then the group, oldest dropped down to ``assoc``; the
+                # group's own dropped lines are clean and charge nothing.
+                excess = len(cset) + len(group) - assoc
+                if excess > 0:
+                    for line in list(cset)[:excess]:
+                        state = cset.pop(line)
+                        writebacks += state & 1
+                        unused += state >> 1 & 1
+                cset.update(dict.fromkeys(group[-assoc:], 0))
                 continue
             cset_get = cset.get
             occupancy = len(cset)
-            for line in range(first, end, num_sets):
-                existing = cset_get(line)
-                if existing is not None:
-                    # Same as fill(dirty=False, prefetched=False): a
-                    # demand install clears any not-yet-used prefetch
-                    # marking.
-                    existing.prefetched = False
-                    existing.pf_penalty = 0
+            for line in group:
+                state = cset_get(line)
+                if state is not None:
+                    if state > 1:
+                        # A demand install clears a not-yet-used
+                        # prefetch marking; the line keeps its dirty bit
+                        # and its LRU position.
+                        cset[line] = state & 1
                     continue
                 if occupancy >= assoc:
-                    # del + insert keeps the set at ``assoc`` lines.
-                    old_line, old_state = next(iter(cset.items()))
-                    del cset[old_line]
-                    if old_state.dirty:
-                        stats.writebacks += 1
-                    if old_state.prefetched:
-                        stats.prefetch_unused_evicted += 1
+                    state = cset.pop(next(iter(cset)))
+                    writebacks += state & 1
+                    unused += state >> 1 & 1
                 else:
                     occupancy += 1
-                cset[line] = LineState()
+                cset[line] = 0
+        self.stats.writebacks += writebacks
+        self.stats.prefetch_unused_evicted += unused
 
-    def peek_state(self, addr: int) -> LineState | None:
-        """Inspect a line's metadata without touching LRU or stats."""
+    def peek_state(self, addr: int) -> int | None:
+        """A resident line's packed metadata (see the module docstring),
+        or None; touches neither LRU order nor statistics."""
         line = self.line_addr(addr)
         return self._sets[self._set_index(line)].get(line)
 
@@ -351,3 +263,40 @@ class Cache:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kb = self.params.size_bytes / 1024
         return f"<Cache {self.name} {kb:.0f}KB {self.assoc}-way lat={self.latency}>"
+
+
+def _lines_by_set(
+    ranges: Iterable[tuple[int, int]], shift: int, num_sets: int, assoc: int,
+) -> tuple[np.ndarray, Iterator[tuple[int, int, int, int]], set[int]]:
+    """Expand ``(base, nbytes)`` ranges into line numbers grouped by set.
+
+    Each range in turn contributes ``ceil(nbytes / line)`` consecutive
+    lines from ``base >> shift``.  Returns ``(grouped, bounds,
+    repeats)``: the lines as one array, stably sorted by set so that
+    every set's group keeps install order; one ``(set, start, tail,
+    end)`` per set that receives lines, whose group is
+    ``grouped[start:end]`` and whose last ``assoc`` lines start at
+    ``tail``; and the sets whose group holds some line twice.  The
+    expansion's intermediate arrays die with this call, so a fill holds
+    only ``grouped`` while it builds the sets.
+    """
+    spans = np.fromiter(chain.from_iterable(ranges), np.int64)
+    spans = spans.reshape(-1, 2)
+    counts = np.maximum((spans[:, 1] + ((1 << shift) - 1)) >> shift, 0)
+    total = int(counts.sum())
+    # Line j of the expansion is its range's first line plus j's offset
+    # from where that range starts in the expansion.
+    offsets = np.cumsum(counts) - counts
+    lines = (np.repeat((spans[:, 0] >> shift) - offsets, counts)
+             + np.arange(total, dtype=np.int64))
+    ordered = np.sort(lines)
+    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    set_of = lines % num_sets
+    sizes = np.bincount(set_of, minlength=num_sets)
+    used = np.flatnonzero(sizes)
+    ends = np.cumsum(sizes)[used]
+    starts = ends - sizes[used]
+    bounds = zip(used.tolist(), starts.tolist(),
+                 np.maximum(starts, ends - assoc).tolist(), ends.tolist())
+    return (lines[np.argsort(set_of, kind="stable")], bounds,
+            set((repeated % num_sets).tolist()))

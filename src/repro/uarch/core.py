@@ -483,7 +483,7 @@ def _cycle_loop(core: Core, threads: list[tuple]) -> CoreResult:
                     lline = a >> l1d_shift
                     lset = l1d_sets[lline % l1d_nsets]
                     st = lset.get(lline)
-                if st is not None and not st.prefetched:
+                if st is not None and not st & 2:
                     page = a >> page_shift
                     del dl1map[page]
                     dl1map[page] = None
@@ -516,16 +516,15 @@ def _cycle_loop(core: Core, threads: list[tuple]) -> CoreResult:
                     lline = a >> l1d_shift
                     lset = l1d_sets[lline % l1d_nsets]
                     st = lset.get(lline)
-                if st is not None and not st.prefetched:
+                if st is not None and not st & 2:
                     page = a >> page_shift
                     del dl1map[page]
                     dl1map[page] = None
                     dtstats.l1_hits += 1
                     record_write(a, core_id)
                     del lset[lline]
-                    lset[lline] = st
+                    lset[lline] = st | 1
                     l1d.consumed_pf_penalty = 0
-                    st.dirty = True
                     l1dstats.demand_hits += 1
                     l1dstats.data_hits += 1
                     if slot_os[idx]:
@@ -606,7 +605,7 @@ def _cycle_loop(core: Core, threads: list[tuple]) -> CoreResult:
                             fline = pc >> l1i_shift
                             fset = l1i_sets[fline % l1i_nsets]
                             st = fset.get(fline)
-                        if st is not None and not st.prefetched:
+                        if st is not None and not st & 2:
                             page = pc >> page_shift
                             del il1map[page]
                             il1map[page] = None

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.uarch.cache import Cache, LineState
+from repro.uarch.cache import Cache
 from repro.uarch.coherence import LastWriterDirectory
 from repro.uarch.dram import MemoryChannels
 from repro.uarch.params import MachineParams
@@ -204,12 +204,10 @@ class MemoryHierarchy:
         line = addr >> l1._line_shift
         cset = l1._sets[line % l1.num_sets]
         state = cset.get(line)
-        if state is not None and not state.prefetched:
+        if state is not None and not state & 2:
             del cset[line]
-            cset[line] = state
+            cset[line] = state | is_write
             l1.consumed_pf_penalty = 0
-            if is_write:
-                state.dirty = True
             l1stats.demand_hits += 1
             if is_instr:
                 l1stats.inst_hits += 1
@@ -270,15 +268,12 @@ class MemoryHierarchy:
         stats = l2.stats
         if state is not None:
             del cset[line]
-            cset[line] = state
             late_pf = 0
-            if state.prefetched:
-                state.prefetched = False
+            if state & 2:
                 stats.prefetch_useful += 1
-                late_pf = state.pf_penalty
-                state.pf_penalty = 0
-            if is_write:
-                state.dirty = True
+                late_pf = state >> 2
+                state &= 1
+            cset[line] = state | is_write
             stats.demand_hits += 1
             if is_instr:
                 stats.inst_hits += 1
@@ -288,22 +283,17 @@ class MemoryHierarchy:
                 stats.data_hits += 1
                 if is_os:
                     stats.os_data_hits += 1
-            # Refill L1 (fill_fast inlined; the line is known absent).
+            # Refill L1 (Cache.fill inlined; the line is known absent).
             if len(l1set) >= l1.assoc:
                 old_line, old_state = next(iter(l1set.items()))
                 del l1set[old_line]
-                if old_state.dirty:
+                if old_state & 1:
                     l1stats.writebacks += 1
                     self._fill_l2(old_line << l1._line_shift,
                                   dirty=True, is_os=False, quiet=True)
-                if old_state.prefetched:
+                if old_state & 2:
                     l1stats.prefetch_unused_evicted += 1
-                old_state.dirty = is_write
-                old_state.prefetched = False
-                old_state.pf_penalty = 0
-                l1set[l1line] = old_state
-            else:
-                l1set[l1line] = LineState(is_write, False, 0)
+            l1set[l1line] = 1 if is_write else 0
             self._run_l2_prefetchers(addr, hit=True, is_os=is_os, now=now)
             if not is_instr:
                 dcu = self._dcu
@@ -357,13 +347,10 @@ class MemoryHierarchy:
         stats = llc.stats
         if state is not None:
             del cset[line]
-            cset[line] = state
-            if state.prefetched:
-                state.prefetched = False
+            if state & 2:
                 stats.prefetch_useful += 1
-                state.pf_penalty = 0
-            if is_write:
-                state.dirty = True
+                state &= 1
+            cset[line] = state | is_write
             stats.demand_hits += 1
             if is_instr:
                 stats.inst_hits += 1
@@ -374,22 +361,17 @@ class MemoryHierarchy:
                 if is_os:
                     stats.os_data_hits += 1
             self._fill_l2(addr, is_write, is_os)
-            # Refill L1 (fill_fast inlined; the line is known absent).
+            # Refill L1 (Cache.fill inlined; the line is known absent).
             if len(l1set) >= l1.assoc:
                 old_line, old_state = next(iter(l1set.items()))
                 del l1set[old_line]
-                if old_state.dirty:
+                if old_state & 1:
                     l1stats.writebacks += 1
                     self._fill_l2(old_line << l1._line_shift,
                                   dirty=True, is_os=False, quiet=True)
-                if old_state.prefetched:
+                if old_state & 2:
                     l1stats.prefetch_unused_evicted += 1
-                old_state.dirty = is_write
-                old_state.prefetched = False
-                old_state.pf_penalty = 0
-                l1set[l1line] = old_state
-            else:
-                l1set[l1line] = LineState(is_write, False, 0)
+            l1set[l1line] = 1 if is_write else 0
             if not is_instr:
                 dcu = self._dcu
                 if dcu is not None:
@@ -426,22 +408,17 @@ class MemoryHierarchy:
         latency += self._dram_queue_delay(now)
         self._fill_llc(addr, is_write, is_os)
         self._fill_l2(addr, is_write, is_os)
-        # Refill L1 (fill_fast inlined; the line is known absent).
+        # Refill L1 (Cache.fill inlined; the line is known absent).
         if len(l1set) >= l1.assoc:
             old_line, old_state = next(iter(l1set.items()))
             del l1set[old_line]
-            if old_state.dirty:
+            if old_state & 1:
                 l1stats.writebacks += 1
                 self._fill_l2(old_line << l1._line_shift,
                               dirty=True, is_os=False, quiet=True)
-            if old_state.prefetched:
+            if old_state & 2:
                 l1stats.prefetch_unused_evicted += 1
-            old_state.dirty = is_write
-            old_state.prefetched = False
-            old_state.pf_penalty = 0
-            l1set[l1line] = old_state
-        else:
-            l1set[l1line] = LineState(is_write, False, 0)
+        l1set[l1line] = 1 if is_write else 0
         if not is_instr:
             dcu = self._dcu
             if dcu is not None:
@@ -465,66 +442,46 @@ class MemoryHierarchy:
         )
 
     # -- fills and writeback propagation --------------------------------
-    def _fill_l1(self, l1: Cache, addr: int, dirty: bool) -> None:
-        victim = l1.fill_fast(addr, dirty)
-        if victim >= 0:
-            # Dirty writeback into L2; may ripple downward.
-            self._fill_l2(victim, dirty=True, is_os=False, quiet=True)
-
     def _fill_l2(self, addr: int, dirty: bool, is_os: bool, quiet: bool = False) -> None:
-        # Cache.fill_fast, inlined (demand fill: not a prefetch).
+        # Cache.fill, inlined (demand fill: not a prefetch).
         l2 = self.l2
         line = addr >> l2._line_shift
         cset = l2._sets[line % l2.num_sets]
         existing = cset.get(line)
         if existing is not None:
-            existing.dirty = existing.dirty or dirty
-            existing.prefetched = False
-            existing.pf_penalty = 0
+            cset[line] = (existing | dirty) & 1
             return
         if len(cset) >= l2.assoc:
             old_line, old_state = next(iter(cset.items()))
             del cset[old_line]
             stats = l2.stats
-            if old_state.dirty:
+            if old_state & 1:
                 stats.writebacks += 1
                 self._fill_llc(old_line << l2._line_shift,
                                dirty=True, is_os=is_os, quiet=True)
-            if old_state.prefetched:
+            if old_state & 2:
                 stats.prefetch_unused_evicted += 1
-            old_state.dirty = dirty
-            old_state.prefetched = False
-            old_state.pf_penalty = 0
-            cset[line] = old_state
-        else:
-            cset[line] = LineState(dirty, False, 0)
+        cset[line] = 1 if dirty else 0
 
     def _fill_llc(self, addr: int, dirty: bool, is_os: bool, quiet: bool = False) -> None:
-        # Cache.fill_fast, inlined (demand fill: not a prefetch).
+        # Cache.fill, inlined (demand fill: not a prefetch).
         llc = self.llc
         line = addr >> llc._line_shift
         cset = llc._sets[line % llc.num_sets]
         existing = cset.get(line)
         if existing is not None:
-            existing.dirty = existing.dirty or dirty
-            existing.prefetched = False
-            existing.pf_penalty = 0
+            cset[line] = (existing | dirty) & 1
             return
         if len(cset) >= llc.assoc:
             old_line, old_state = next(iter(cset.items()))
             del cset[old_line]
             stats = llc.stats
-            if old_state.dirty:
+            if old_state & 1:
                 stats.writebacks += 1
                 self.dram.write_line(is_os)
-            if old_state.prefetched:
+            if old_state & 2:
                 stats.prefetch_unused_evicted += 1
-            old_state.dirty = dirty
-            old_state.prefetched = False
-            old_state.pf_penalty = 0
-            cset[line] = old_state
-        else:
-            cset[line] = LineState(dirty, False, 0)
+        cset[line] = 1 if dirty else 0
 
     # -- prefetch machinery ----------------------------------------------
     def _prefetch_into_l1d(self, addr: int, l1line: int, l1set: dict) -> None:
@@ -545,23 +502,19 @@ class MemoryHierarchy:
         # If the L2 copy is itself a still-in-flight prefetch, the L1 copy
         # inherits the residual latency — chained prefetchers cannot make
         # data arrive sooner than memory delivers it.
-        inherited = l2_state.pf_penalty if (l2_state and l2_state.prefetched) else 0
-        # Cache.fill_fast, inlined: the probe above proved the line
-        # absent, and nothing since touched this L1-D set.
+        inherited = (l2_state >> 2
+                     if l2_state is not None and l2_state & 2 else 0)
+        # Cache.fill, inlined: the probe above proved the line absent,
+        # and nothing since touched this L1-D set.
         stats = l1d.stats
         if len(l1set) >= l1d.assoc:
             old_line, old_state = next(iter(l1set.items()))
             del l1set[old_line]
-            if old_state.dirty:
+            if old_state & 1:
                 stats.writebacks += 1
-            if old_state.prefetched:
+            if old_state & 2:
                 stats.prefetch_unused_evicted += 1
-            old_state.dirty = False
-            old_state.prefetched = True
-            old_state.pf_penalty = inherited
-            l1set[l1line] = old_state
-        else:
-            l1set[l1line] = LineState(False, True, inherited)
+        l1set[l1line] = 2 | inherited << 2
         stats.prefetch_issued += 1
 
     def _run_l2_prefetchers(self, addr: int, hit: bool, is_os: bool,
@@ -647,24 +600,19 @@ class MemoryHierarchy:
             self._fill_llc(addr, dirty=False, is_os=is_os)
         else:
             pf_penalty = (self.llc.latency * 2) // 5
-        # Cache.fill_fast, inlined (prefetched install): the probe above
+        # Cache.fill, inlined (prefetched install): the probe above
         # proved the line absent, and the LLC fill never touches the L2.
         stats = l2.stats
         if len(l2set) >= l2.assoc:
             old_line, old_state = next(iter(l2set.items()))
             del l2set[old_line]
-            if old_state.dirty:
+            if old_state & 1:
                 stats.writebacks += 1
                 self._fill_llc(old_line << l2._line_shift,
                                dirty=True, is_os=is_os, quiet=True)
-            if old_state.prefetched:
+            if old_state & 2:
                 stats.prefetch_unused_evicted += 1
-            old_state.dirty = False
-            old_state.prefetched = True
-            old_state.pf_penalty = pf_penalty
-            l2set[l2line] = old_state
-        else:
-            l2set[l2line] = LineState(False, True, pf_penalty)
+        l2set[l2line] = 2 | pf_penalty << 2
         stats.prefetch_issued += 1
 
     def prefetch_instruction(self, addr: int) -> None:
@@ -691,22 +639,17 @@ class MemoryHierarchy:
         """:meth:`prefetch_instruction` past the L1-I probe (line absent)."""
         if not self.l2.contains(target) and not self.llc.contains(target):
             return  # next-line I-prefetch does not go off-chip
-        # Cache.fill_fast, inlined (prefetched install, line absent).
+        # Cache.fill, inlined (prefetched install, line absent).
         l1i = self.l1i
         stats = l1i.stats
         if len(tset) >= l1i.assoc:
             old_line, old_state = next(iter(tset.items()))
             del tset[old_line]
-            if old_state.dirty:
+            if old_state & 1:
                 stats.writebacks += 1
-            if old_state.prefetched:
+            if old_state & 2:
                 stats.prefetch_unused_evicted += 1
-            old_state.dirty = False
-            old_state.prefetched = True
-            old_state.pf_penalty = 0
-            tset[tline] = old_state
-        else:
-            tset[tline] = LineState(False, True, 0)
+        tset[tline] = 2
         stats.prefetch_issued += 1
 
     def invalidate_private(self, addr: int) -> None:
@@ -739,14 +682,14 @@ class MemoryHierarchy:
                 line = addr >> l1._line_shift
                 cset = l1._sets[line % l1.num_sets]
                 st = cset.get(line)
-                if st is not None and not st.prefetched:
+                if st is not None and not st & 2:
                     page = addr >> page_shift
                     del l1map[page]
                     l1map[page] = None
                     tstats.l1_hits += 1
                     if is_write:
                         record_write(addr, core_id)
-                        st.dirty = True
+                        st |= 1
                     del cset[line]
                     cset[line] = st
                     l1.consumed_pf_penalty = 0

@@ -213,3 +213,73 @@ def test_resident_lines_never_exceed_capacity(seed):
     for _ in range(500):
         cache.fill(rng.randrange(1 << 20) & ~63)
         assert cache.resident_lines() <= capacity
+
+
+# -- bulk range installs ---------------------------------------------------
+
+@st.composite
+def _install_case(draw):
+    """A cache geometry, a pre-populated state and a list of ranges."""
+    line = draw(st.sampled_from([64, 128]))
+    num_sets = draw(st.sampled_from([1, 2, 4, 8]))
+    assoc = draw(st.integers(min_value=1, max_value=4))
+    capacity = num_sets * assoc
+    span = 3 * capacity  # line indices drawn from here overlap often
+    prepopulate = draw(st.lists(
+        st.tuples(st.integers(0, span), st.booleans(), st.booleans(),
+                  st.integers(0, 90)),
+        max_size=2 * capacity))
+    extent = st.one_of(st.integers(0, 3 * line),
+                       st.integers(0, 2 * capacity * line))
+    ranges = draw(st.lists(
+        st.tuples(st.integers(0, span), st.integers(0, line - 1), extent),
+        max_size=8))
+    spans = [(index * line + offset, nbytes)
+             for index, offset, nbytes in ranges]
+    if spans:
+        spans += draw(st.lists(st.sampled_from(spans), max_size=3))
+    return line, num_sets, assoc, prepopulate, spans
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_install_case())
+def test_install_ranges_matches_per_address_fill(case):
+    """Property: one bulk install equals filling every address of
+    ``range(base, base + nbytes, line_bytes)``, range after range — the
+    same keys in the same LRU order with the same packed flags in every
+    set, and the same statistics."""
+    line, num_sets, assoc, prepopulate, ranges = case
+    bulk = make_cache(size=num_sets * assoc * line, assoc=assoc, line=line)
+    walked = make_cache(size=num_sets * assoc * line, assoc=assoc, line=line)
+    for cache in (bulk, walked):
+        for index, dirty, prefetched, pf_penalty in prepopulate:
+            cache.fill(index * line, dirty=dirty, prefetched=prefetched,
+                       pf_penalty=pf_penalty)
+    bulk.install_ranges(ranges)
+    for base, nbytes in ranges:
+        for addr in range(base, base + nbytes, line):
+            walked.fill(addr)
+    assert [list(s.items()) for s in bulk._sets] == \
+        [list(s.items()) for s in walked._sets]
+    assert vars(bulk.stats) == vars(walked.stats)
+
+
+class TestInstallRanges:
+    def test_unaligned_range_drops_its_last_partial_line(self):
+        """A range installs ceil(nbytes / line) lines from base's line,
+        so one that starts mid-line leaves the line of its last bytes
+        out."""
+        cache = make_cache(size=64 * 64, assoc=4, line=64)
+        base, nbytes = 10 * 64 + 8, 2 * 64
+        cache.install_ranges([(base, nbytes)])
+        assert cache.contains(base) and cache.contains(base + 64)
+        assert not cache.contains(base + nbytes - 1)
+        assert cache.resident_lines() == 2
+
+    def test_installed_lines_are_clean_and_demand_fetched(self):
+        cache = make_cache(size=64 * 64, assoc=4, line=64)
+        cache.fill(0, dirty=True, prefetched=True, pf_penalty=80)
+        cache.install_ranges([(0, 4 * 64)])
+        assert cache.peek_state(0) == 1  # dirty kept, prefetch cleared
+        assert [cache.peek_state(a) for a in (64, 128, 192)] == [0, 0, 0]
+        assert cache.stats.prefetch_issued == 1

@@ -4,9 +4,9 @@
 ``per_thread_instructions`` for every measurement shape the figures
 use — a replayed capture, a live single thread, a live SMT pair, the
 synthetic groups' members, a four-core chip run in eight segments, a
-fault-injected capture and a 128-byte-line machine.  Any change to the
-core model that moves a counter fails here; a deliberate one
-regenerates the fixture with::
+fault-injected capture, a 128-byte-line machine and a 4 MB LLC (one of
+the Figure 4 sweep sizes).  Any change to the core model that moves a
+counter fails here; a deliberate one regenerates the fixture with::
 
     PYTHONPATH=src python -m tests.uarch.test_golden_counters
 
@@ -37,7 +37,8 @@ WARM = 1_000
 #: Long enough that the degraded plan's first windows open mid-trace
 #: and fire in every variant workload.
 FAULT_WINDOW = 8_000
-#: Workloads measured in the chip, fault-plan and wide-line shapes.
+#: Workloads measured in the chip, fault-plan, wide-line and small-LLC
+#: shapes.
 VARIANT_WORKLOADS = ("data-serving", "web-search", "sat-solver")
 
 
@@ -102,6 +103,11 @@ def _case_wide(name: str) -> dict:
                      wide_line_params())
 
 
+def _case_small_llc(name: str) -> dict:
+    return _replayed(TraceKey(name, window_uops=WINDOW, warm_uops=WARM),
+                     MachineParams().with_llc_mb(4))
+
+
 SHAPES = {
     "replay": _case_replay,
     "live": _case_live,
@@ -110,6 +116,7 @@ SHAPES = {
     "chip": _case_chip,
     "faults": _case_faults,
     "wide": _case_wide,
+    "small-llc": _case_small_llc,
 }
 
 CASES = (
@@ -118,14 +125,14 @@ CASES = (
     + [f"member-{group}:{member}"
        for group, members in sorted(_GROUP_MEMBERS.items())
        for member in members]
-    + [f"{shape}-{name}" for shape in ("chip", "faults", "wide")
+    + [f"{shape}-{name}" for shape in ("chip", "faults", "wide", "small-llc")
        for name in VARIANT_WORKLOADS]
 )
 
 
 def measure(case: str) -> dict:
-    shape, _, name = case.partition("-")
-    return SHAPES[shape](name)
+    shape = next(s for s in SHAPES if case.startswith(f"{s}-"))
+    return SHAPES[shape](case[len(shape) + 1:])
 
 
 def _canonical(record: dict) -> str:
