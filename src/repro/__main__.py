@@ -180,9 +180,9 @@ def _parse_config(args: list[str]) -> tuple[list[str], RunConfig, CliOptions]:
     return rest, config, options
 
 
-def _build_engine(options: CliOptions):
-    """The sweep engine the figure commands share: supervised and
-    parallel when asked, backed by the persistent store unless
+def _build_engine(options: CliOptions, engine_cls=None):
+    """The sweep engine the figure and fleet commands share: supervised
+    and parallel when asked, backed by the persistent store unless
     ``--no-cache`` (the crash-safe checkpoint journal is kept either
     way, so ``--resume`` works even for uncached sweeps)."""
     from repro.core.store import ResultStore, default_cache_dir
@@ -192,10 +192,10 @@ def _build_engine(options: CliOptions):
     store = None if options.no_cache else ResultStore()
     policy = RetryPolicy.for_harness(timeout=options.timeout,
                                      retries=options.retries)
-    return SweepEngine(jobs=options.jobs, use_cache=not options.no_cache,
-                       store=store, retry=policy,
-                       checkpoint_dir=default_cache_dir() / "checkpoints",
-                       resume=options.resume)
+    return (engine_cls or SweepEngine)(
+        jobs=options.jobs, use_cache=not options.no_cache, store=store,
+        retry=policy, checkpoint_dir=default_cache_dir() / "checkpoints",
+        resume=options.resume)
 
 
 def _run_figure(name: str, config: RunConfig, options: CliOptions,
@@ -247,6 +247,49 @@ def _run_workload_command(args: list[str], config: RunConfig) -> None:
           f"bw={run.bandwidth_utilization():.1%}")
 
 
+#: Per-store wording of the report blocks: the doctor heading, what one
+#: blob is called, and what a stale schema directory holds.
+_STORE_WORDING = {
+    "results": ("store", "document", "older schema versions"),
+    "traces": ("traces", "container", "older trace schemas"),
+}
+
+
+def _report_stores(stores, check: bool | None = None) -> bool:
+    """Print one block per store: its stats when ``check`` is None
+    (``cache``, ``trace stats``), else its doctor scan, which moves
+    defects into ``corrupt/`` unless ``check``.  True on any defect."""
+    defective = False
+    for store in stores:
+        heading, noun, stale_note = _STORE_WORDING[store.name]
+        if check is None:
+            report, width = store.stats(), 9
+            print(f"store:   {report['path']}")
+            print(f"entries: {report['entries']}")
+            print(f"bytes:   {report['bytes']}")
+            corrupt = (f"corrupt: {report['corrupt_entries']} quarantined "
+                       f"{noun}(s) (see `python -m repro doctor`)")
+        else:
+            report, width = store.doctor(repair=not check), 11
+            print(f"{heading + ':':<11}{report['path']}")
+            print(f"scanned:   {report['scanned']}")
+            print(f"healthy:   {report['healthy']}")
+            print(f"{'defective' if check else 'quarantined'}: "
+                  f"{len(report['defects'])}")
+            for fingerprint, reason in report["defects"]:
+                print(f"  {fingerprint[:16]}…: {reason}")
+            corrupt = (f"corrupt/:  {report['corrupt_entries']} {noun}(s) "
+                       f"under {store.corrupt_directory}")
+            defective = defective or bool(report["defects"])
+        if report["corrupt_entries"]:
+            print(corrupt)
+        if report["stale_versions"]:
+            print(f"{'stale:':<{width}}"
+                  f"{', '.join(report['stale_versions'])} "
+                  f"({stale_note}; safe to delete)")
+    return defective
+
+
 def _cache_command(args: list[str]) -> int:
     from repro.core.store import ResultStore
 
@@ -259,16 +302,7 @@ def _cache_command(args: list[str]) -> int:
     if action != "stats":
         _usage_error(f"unknown cache action {action!r}; "
                      "expected 'stats' or 'clear'")
-    stats = store.stats()
-    print(f"store:   {stats['path']}")
-    print(f"entries: {stats['entries']}")
-    print(f"bytes:   {stats['bytes']}")
-    if stats["corrupt_entries"]:
-        print(f"corrupt: {stats['corrupt_entries']} quarantined document(s) "
-              "(see `python -m repro doctor`)")
-    if stats["stale_versions"]:
-        print(f"stale:   {', '.join(stats['stale_versions'])} "
-              "(older schema versions; safe to delete)")
+    _report_stores([store])
     return 0
 
 
@@ -282,41 +316,14 @@ def _doctor_command(options: CliOptions) -> int:
     from repro.core.store import ResultStore, default_cache_dir
     from repro.trace.store import TraceStore
 
-    store = ResultStore()
-    report = store.doctor(repair=not options.check)
-    print(f"store:     {report['path']}")
-    print(f"scanned:   {report['scanned']}")
-    print(f"healthy:   {report['healthy']}")
-    verb = "quarantined" if report["repaired"] else "defective"
-    print(f"{verb}: {len(report['defects'])}")
-    for fingerprint, reason in report["defects"]:
-        print(f"  {fingerprint[:16]}…: {reason}")
-    if report["corrupt_entries"]:
-        print(f"corrupt/:  {report['corrupt_entries']} document(s) "
-              f"under {store.corrupt_directory}")
-    if report["stale_versions"]:
-        print(f"stale:     {', '.join(report['stale_versions'])} "
-              "(older schema versions; safe to delete)")
-    trace_store = TraceStore()
-    trace_report = trace_store.doctor(repair=not options.check)
-    print(f"traces:    {trace_report['path']}")
-    print(f"scanned:   {trace_report['scanned']}")
-    print(f"healthy:   {trace_report['healthy']}")
-    print(f"{verb}: {len(trace_report['defects'])}")
-    for fingerprint, reason in trace_report["defects"]:
-        print(f"  {fingerprint[:16]}…: {reason}")
-    if trace_report["corrupt_entries"]:
-        print(f"corrupt/:  {trace_report['corrupt_entries']} container(s) "
-              f"under {trace_store.corrupt_directory}")
-    if trace_report["stale_versions"]:
-        print(f"stale:     {', '.join(trace_report['stale_versions'])} "
-              "(older trace schemas; safe to delete)")
+    defective = _report_stores([ResultStore(), TraceStore()],
+                               check=options.check)
     journals = sorted((default_cache_dir() / "checkpoints")
                       .glob("sweep-*.json"))
     if journals:
         print(f"journals:  {len(journals)} interrupted sweep(s) can be "
               "picked up with --resume")
-    return 1 if report["defects"] or trace_report["defects"] else 0
+    return 1 if defective else 0
 
 
 def _trace_dump(args: list[str]) -> int:
@@ -388,16 +395,7 @@ def _trace_command(args: list[str], config: RunConfig,
         print(f"removed {removed} trace(s) from {store.directory}")
         return 0
     if action == "stats":
-        stats = TraceStore().stats()
-        print(f"store:   {stats['path']}")
-        print(f"entries: {stats['entries']}")
-        print(f"bytes:   {stats['bytes']}")
-        if stats["corrupt_entries"]:
-            print(f"corrupt: {stats['corrupt_entries']} quarantined "
-                  "container(s) (see `python -m repro doctor`)")
-        if stats["stale_versions"]:
-            print(f"stale:   {', '.join(stats['stale_versions'])} "
-                  "(older trace schemas; safe to delete)")
+        _report_stores([TraceStore()])
         print(TAPS.summary())
         return 0
     return _trace_dump(args)
@@ -485,18 +483,10 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if command == "cluster":
         from repro.core.experiments import figure9_cluster
-        from repro.core.store import ResultStore, default_cache_dir
         from repro.core.supervise import SweepCellError
         from repro.cluster.sweep import ClusterSweepEngine
-        from repro.faults.retry import RetryPolicy
 
-        store = None if options.no_cache else ResultStore()
-        policy = RetryPolicy.for_harness(timeout=options.timeout,
-                                         retries=options.retries)
-        engine = ClusterSweepEngine(
-            jobs=options.jobs, use_cache=not options.no_cache, store=store,
-            retry=policy, checkpoint_dir=default_cache_dir() / "checkpoints",
-            resume=options.resume)
+        engine = _build_engine(options, ClusterSweepEngine)
         if len(args) > 1 and args[1] == "calibrate":
             return _calibrate_command(args[2:], config, options)
         workload = args[1] if len(args) > 1 else "data-serving"

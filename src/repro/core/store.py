@@ -7,40 +7,37 @@ across process invocations.  Layout::
 
     ~/.cache/repro/results-v<SCHEMA>/<fingerprint>.json
 
-``REPRO_CACHE_DIR`` overrides the root (tests point it at a tmpdir);
-otherwise ``XDG_CACHE_HOME``/``~/.cache`` conventions apply.  The
-schema version sits in the directory name *and* in every document, so
-a result written by an incompatible build is a miss, never a wrong
-answer.  Writes reuse the manifest's atomic temp-file + ``os.replace``
-discipline — a kill mid-write leaves the store consistent.
+:class:`ResultStore` is one kind of :class:`~repro.blobstore.BlobStore`,
+which owns the root (``REPRO_CACHE_DIR`` override, XDG fallback), the
+atomic writes, the ``corrupt/`` quarantine, the doctor scan and the
+stats.  This module owns only the document codec.  The schema version
+sits in the directory name *and* in every document, so a result
+written by an incompatible build is a miss, never a wrong answer.
 
 Documents are intentionally minimal: the run's name, its full
 configuration (round-tripped through the same dataclasses), and the
 ``CoreResult`` counters.  Live app state never touches disk; a run
 restored from the store has ``app=None``, which is all the figure
-modules need.
+modules need.  The same directory holds fleet summaries (``cluster``)
+and service-cost models (``calibration``).
 
-Defective documents are never silently recomputed-over: a document
-that fails to parse, carries the wrong fingerprint (renamed/copied
-file), or violates the physical invariants in
-:mod:`repro.core.validate` is **quarantined** into ``corrupt/`` next to
-the results directory, with a ``.reason`` sidecar recording the
-diagnosis — the evidence survives for ``python -m repro doctor``
-instead of being destroyed by the next ``put``.
+A document that fails to parse, carries the wrong fingerprint
+(renamed/copied file), or violates the physical invariants in
+:mod:`repro.core.validate` is a :class:`~repro.blobstore.Defect`, and
+the blob store quarantines it rather than recomputing over it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
-import pathlib
 
+from repro.blobstore import (BlobStore, Defect, atomic_write,
+                             default_cache_dir, json_bytes)
 from repro.core.runner import RunConfig, WorkloadRun
 from repro.core.validate import (check_cluster_summary, check_cost_model,
                                  check_result, validate_cluster_summaries,
                                  validate_cost_model, validate_runs)
-from repro.faults.manifest import atomic_write_json
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.uarch.core import CoreResult
 from repro.uarch.params import CacheParams, MachineParams, PrefetcherParams
@@ -58,16 +55,13 @@ __all__ = [
 #: as stale by ``python -m repro cache``).
 SCHEMA_VERSION = 1
 
-
-def default_cache_dir() -> pathlib.Path:
-    # repro-lint: sanitizer -- environment chooses where results live, never what they contain
-    """The store root: ``$REPRO_CACHE_DIR``, else XDG, else ~/.cache."""
-    override = os.environ.get("REPRO_CACHE_DIR")
-    if override:
-        return pathlib.Path(override)
-    xdg = os.environ.get("XDG_CACHE_HOME")
-    base = pathlib.Path(xdg) if xdg else pathlib.Path.home() / ".cache"
-    return base / "repro"
+#: The validation gate :meth:`ResultStore.put` and friends apply per
+#: payload kind before a document is written.
+_VALIDATORS = {
+    "runs": validate_runs,
+    "cluster": validate_cluster_summaries,
+    "calibration": validate_cost_model,
+}
 
 
 def _config_to_dict(config: RunConfig) -> dict:
@@ -115,74 +109,59 @@ def run_from_dict(data: dict) -> WorkloadRun:
     )
 
 
-class ResultStore:
+class ResultStore(BlobStore):
     """A directory of fingerprint-keyed result documents."""
 
-    def __init__(self, root: str | pathlib.Path | None = None) -> None:
-        self.root = pathlib.Path(root) if root is not None \
-            else default_cache_dir()
-        self.directory = self.root / f"results-v{SCHEMA_VERSION}"
-        self.corrupt_directory = self.root / "corrupt"
+    name = "results"
+    schema = SCHEMA_VERSION
+    suffix = ".json"
 
-    def path_for(self, fingerprint: str) -> pathlib.Path:
-        return self.directory / f"{fingerprint}.json"
-
-    def _decode(self, path: pathlib.Path,
-                fingerprint: str) -> tuple[dict | None, str | None]:
-        """``(payload, None)`` for a healthy document — ``{"runs":
-        [WorkloadRun, ...]}`` for microarchitectural results or
-        ``{"cluster": [summary, ...]}`` for fleet results —
-        ``(None, reason)`` for a defective one, ``(None, None)`` for a
-        plain miss."""
+    def decode(self, data: bytes, fingerprint: str) -> dict:
+        """``{"runs": [WorkloadRun, ...]}`` for microarchitectural
+        results, ``{"cluster": [summary, ...]}`` for fleet results or
+        ``{"calibration": model}`` for a service-cost model; raises
+        :class:`~repro.blobstore.Defect` on a defective document."""
         try:
-            text = path.read_text()
-        except FileNotFoundError:
-            return None, None
-        except OSError as exc:
-            return None, f"unreadable: {exc}"
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            return None, f"not valid JSON ({exc})"
+            raw = json.loads(data)
+        except ValueError as exc:  # malformed JSON or non-UTF-8 bytes
+            raise Defect(f"not valid JSON ({exc})") from exc
         if not isinstance(raw, dict):
-            return None, "document is not a JSON object"
+            raise Defect("document is not a JSON object")
         if raw.get("schema") != SCHEMA_VERSION:
-            return None, (f"schema {raw.get('schema')!r} inside the "
-                          f"v{SCHEMA_VERSION} directory")
+            raise Defect(f"schema {raw.get('schema')!r} inside the "
+                         f"v{SCHEMA_VERSION} directory")
         if raw.get("fingerprint") != fingerprint:
-            return None, (f"fingerprint field {raw.get('fingerprint')!r} "
-                          "does not match the filename (renamed or copied "
-                          "document)")
+            raise Defect(f"fingerprint field {raw.get('fingerprint')!r} "
+                         "does not match the filename (renamed or copied "
+                         "document)")
         if "calibration" in raw:
-            model = raw["calibration"]
-            violations = check_cost_model(model)
-            if violations:
-                return None, "; ".join(violations)
-            return {"calibration": model}, None
-        if "cluster" in raw:
+            payload = {"calibration": raw["calibration"]}
+            violations = check_cost_model(raw["calibration"])
+        elif "cluster" in raw:
             summaries = raw["cluster"]
             if not isinstance(summaries, list):
-                return None, "cluster payload is not a list of summaries"
+                raise Defect("cluster payload is not a list of summaries")
+            payload = {"cluster": summaries}
             violations = [
                 f"summary {index}: {violation}"
                 for index, summary in enumerate(summaries)
                 for violation in check_cluster_summary(summary)
             ]
-            if violations:
-                return None, "; ".join(violations)
-            return {"cluster": summaries}, None
-        try:
-            runs = [run_from_dict(entry) for entry in raw["runs"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            return None, f"undecodable runs ({type(exc).__name__}: {exc})"
-        violations = [
-            f"run {run.name!r}: {violation}"
-            for run in runs
-            for violation in check_result(run.result, run.config.params)
-        ]
+        else:
+            try:
+                runs = [run_from_dict(entry) for entry in raw["runs"]]
+            except (KeyError, TypeError, ValueError) as exc:
+                raise Defect(f"undecodable runs "
+                             f"({type(exc).__name__}: {exc})") from exc
+            payload = {"runs": runs}
+            violations = [
+                f"run {run.name!r}: {violation}"
+                for run in runs
+                for violation in check_result(run.result, run.config.params)
+            ]
         if violations:
-            return None, "; ".join(violations)
-        return {"runs": runs}, None
+            raise Defect("; ".join(violations))
+        return payload
 
     def get(self, fingerprint: str) -> list[WorkloadRun] | None:
         """The stored runs for ``fingerprint``, or None on a miss.
@@ -194,65 +173,21 @@ class ResultStore:
         too (fingerprints embed the cell kind, so this only happens if
         a caller mixes keys).
         """
-        payload, defect = self._decode(self.path_for(fingerprint), fingerprint)
-        if defect is not None:
-            self.quarantine(fingerprint, defect)
-            return None
-        if payload is None:
-            return None
-        return payload.get("runs")
+        return self._get(fingerprint, "runs")
 
     def get_cluster(self, fingerprint: str) -> list[dict] | None:
         """The stored fleet summaries for ``fingerprint``, or None.
 
         Defective documents quarantine exactly as in :meth:`get`.
         """
-        payload, defect = self._decode(self.path_for(fingerprint), fingerprint)
-        if defect is not None:
-            self.quarantine(fingerprint, defect)
-            return None
-        if payload is None:
-            return None
-        return payload.get("cluster")
+        return self._get(fingerprint, "cluster")
 
     def get_calibration(self, fingerprint: str) -> dict | None:
         """The stored service-cost-model document, or None.
 
         Defective documents quarantine exactly as in :meth:`get`.
         """
-        payload, defect = self._decode(self.path_for(fingerprint), fingerprint)
-        if defect is not None:
-            self.quarantine(fingerprint, defect)
-            return None
-        if payload is None:
-            return None
-        return payload.get("calibration")
-
-    def put_calibration(self, fingerprint: str, model: dict,
-                        validate: bool = True) -> None:
-        """Persist one service-cost-model document under ``fingerprint``."""
-        if validate:
-            validate_cost_model(
-                model, context=f"store put {fingerprint[:12]}")
-        document = {
-            "schema": SCHEMA_VERSION,
-            "fingerprint": fingerprint,
-            "calibration": model,
-        }
-        atomic_write_json(self.path_for(fingerprint), document)
-
-    def put_cluster(self, fingerprint: str, summaries: list[dict],
-                    validate: bool = True) -> None:
-        """Persist fleet-cell ``summaries`` under ``fingerprint``."""
-        if validate:
-            validate_cluster_summaries(
-                summaries, context=f"store put {fingerprint[:12]}")
-        document = {
-            "schema": SCHEMA_VERSION,
-            "fingerprint": fingerprint,
-            "cluster": summaries,
-        }
-        atomic_write_json(self.path_for(fingerprint), document)
+        return self._get(fingerprint, "calibration")
 
     def put(self, fingerprint: str, runs: list[WorkloadRun],
             validate: bool = True) -> None:
@@ -263,104 +198,31 @@ class ResultStore:
         poisoning the store.  Callers that already validated (the sweep
         engine) pass ``validate=False``.
         """
+        self._put(fingerprint, "runs", runs, validate)
+
+    def put_cluster(self, fingerprint: str, summaries: list[dict],
+                    validate: bool = True) -> None:
+        """Persist fleet-cell ``summaries`` under ``fingerprint``."""
+        self._put(fingerprint, "cluster", summaries, validate)
+
+    def put_calibration(self, fingerprint: str, model: dict,
+                        validate: bool = True) -> None:
+        """Persist one service-cost-model document under ``fingerprint``."""
+        self._put(fingerprint, "calibration", model, validate)
+
+    def _get(self, fingerprint: str, kind: str):
+        payload = self._load(fingerprint)
+        return None if payload is None else payload.get(kind)
+
+    def _put(self, fingerprint: str, kind: str, payload,
+             validate: bool) -> None:
         if validate:
-            validate_runs(runs, context=f"store put {fingerprint[:12]}")
-        document = {
+            _VALIDATORS[kind](payload,
+                              context=f"store put {fingerprint[:12]}")
+        if kind == "runs":
+            payload = [run_to_dict(run) for run in payload]
+        atomic_write(self.path_for(fingerprint), json_bytes({
             "schema": SCHEMA_VERSION,
             "fingerprint": fingerprint,
-            "runs": [run_to_dict(run) for run in runs],
-        }
-        atomic_write_json(self.path_for(fingerprint), document)
-
-    def quarantine(self, fingerprint: str, reason: str) -> pathlib.Path | None:
-        """Move a defective document into ``corrupt/``, keeping evidence.
-
-        A ``.reason`` sidecar records the diagnosis.  Returns the new
-        path, or None if the document vanished concurrently.
-        """
-        source = self.path_for(fingerprint)
-        target = self.corrupt_directory / source.name
-        self.corrupt_directory.mkdir(parents=True, exist_ok=True)
-        try:
-            os.replace(source, target)
-        except OSError:
-            return None  # vanished (or unmovable) concurrently
-        atomic_write_json(target.with_suffix(".reason"),
-                          {"fingerprint": fingerprint, "reason": reason})
-        return target
-
-    def doctor(self, repair: bool = True) -> dict:
-        """Scan every document; quarantine (or just report) defects.
-
-        Returns a report dictionary: how many documents were scanned
-        and healthy, the ``(fingerprint, reason)`` defect list, whether
-        they were quarantined, plus the pre-existing ``corrupt/``
-        population and stale schema directories.
-        """
-        scanned = 0
-        healthy = 0
-        defects: list[tuple[str, str]] = []
-        if self.directory.is_dir():
-            for path in sorted(self.directory.glob("*.json")):
-                payload, defect = self._decode(path, path.stem)
-                if payload is None and defect is None:
-                    continue  # removed while we scanned
-                scanned += 1
-                if defect is None:
-                    healthy += 1
-                    continue
-                defects.append((path.stem, defect))
-                if repair:
-                    self.quarantine(path.stem, defect)
-        corrupt = len(list(self.corrupt_directory.glob("*.json"))) \
-            if self.corrupt_directory.is_dir() else 0
-        return {
-            "path": str(self.directory),
-            "scanned": scanned,
-            "healthy": healthy,
-            "defects": defects,
-            "repaired": repair,
-            "corrupt_entries": corrupt,
-            "stale_versions": self._stale_versions(),
-        }
-
-    def _stale_versions(self) -> list[str]:
-        if not self.root.is_dir():
-            return []
-        return sorted(
-            p.name for p in self.root.glob("results-v*")
-            if p.is_dir() and p != self.directory
-        )
-
-    def stats(self) -> dict:
-        """Entry count, total bytes, and stale-version leftovers."""
-        entries = 0
-        nbytes = 0
-        if self.directory.is_dir():
-            for path in self.directory.glob("*.json"):
-                try:
-                    nbytes += path.stat().st_size
-                except FileNotFoundError:
-                    continue  # unlinked by a concurrent clear()
-                entries += 1
-        corrupt = len(list(self.corrupt_directory.glob("*.json"))) \
-            if self.corrupt_directory.is_dir() else 0
-        return {
-            "path": str(self.directory),
-            "entries": entries,
-            "bytes": nbytes,
-            "corrupt_entries": corrupt,
-            "stale_versions": self._stale_versions(),
-        }
-
-    def clear(self) -> int:
-        """Remove every current-version entry; returns how many."""
-        removed = 0
-        if self.directory.is_dir():
-            for path in self.directory.glob("*.json"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except FileNotFoundError:
-                    pass
-        return removed
+            kind: payload,
+        }))

@@ -20,9 +20,9 @@ bottleneck, so this module supervises execution instead:
   every in-flight cell is charged an attempt — a crash-looping cell
   exhausts its retries instead of wedging the sweep forever;
 * every completed cell is **journaled** to a :class:`SweepCheckpoint`
-  (atomic temp-file + ``os.replace`` writes, the same discipline as the
-  faults manifest), so a sweep interrupted by Ctrl-C, SIGKILL, or power
-  loss resumes by rerunning only the cells absent from the journal.
+  (atomic writes via :mod:`repro.blobstore`; an unparsable journal is
+  discarded), so a sweep interrupted by Ctrl-C, SIGKILL, or power loss
+  resumes by rerunning only the cells absent from the journal.
 
 Cells that exhaust their retries are reported together in a
 :class:`SweepCellError` *after* the rest of the sweep completes —

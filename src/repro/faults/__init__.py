@@ -20,7 +20,8 @@ healthy pipelines:
   service-level accumulator (goodput, retry rate, latency percentiles);
 * :mod:`repro.faults.watchdog` — the runaway-trace budget guard;
 * :mod:`repro.faults.manifest` — :class:`SweepManifest`, the crash-safe
-  checkpoint layer multi-cell sweeps resume from.
+  checkpoint layer multi-cell sweeps resume from (atomic writes via
+  :mod:`repro.blobstore`).
 
 See ``docs/resilience.md`` for the fault model and how degraded paths
 extend the paper's Figure 1/Figure 2 arguments.

@@ -4,9 +4,9 @@ A sweep (several workloads x several modes x a measurement window) can
 take long enough that losing all progress to an interruption hurts.
 :class:`SweepManifest` persists one JSON document per sweep under
 ``benchmarks/results/``; every completed cell is recorded with an
-atomic write (temp file + ``os.replace``), so a kill at any instant
-leaves either the previous or the new manifest on disk — never a torn
-one.  Re-invoking the sweep skips cells the manifest already holds.
+atomic write (:func:`repro.blobstore.atomic_write`), so a kill at any
+instant leaves either the previous or the new manifest on disk — never
+a torn one.  Re-invoking the sweep skips cells the manifest already holds.
 
 The manifest is keyed by a ``meta`` dictionary (window, seed, plan
 digest, ...): if the sweep's configuration changes, the stale manifest
@@ -16,35 +16,9 @@ is discarded rather than mixed in.
 from __future__ import annotations
 
 import json
-import os
 import pathlib
-import tempfile
 
-
-def atomic_write_json(path: str | pathlib.Path, document: object) -> None:
-    """Write ``document`` as JSON via temp file + ``os.replace``.
-
-    A kill at any instant leaves either the previous file or the new
-    one on disk — never a torn one.  Shared by the sweep manifest and
-    the on-disk result store.
-    """
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        prefix=path.name + ".", suffix=".tmp", dir=str(path.parent),
-    )
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(document, handle, indent=1, sort_keys=True)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+from repro.blobstore import atomic_write, json_bytes
 
 
 class SweepManifest:
@@ -60,8 +34,8 @@ class SweepManifest:
 
     def _load(self) -> None:
         try:
-            raw = json.loads(self.path.read_text())
-        except (FileNotFoundError, json.JSONDecodeError, OSError):
+            raw = json.loads(self.path.read_bytes())
+        except (OSError, ValueError):  # ValueError: bad JSON or UTF-8
             return  # missing or torn-by-older-tooling file: start fresh
         if not isinstance(raw, dict):
             return
@@ -98,8 +72,8 @@ class SweepManifest:
             pass
 
     def _flush(self) -> None:
-        atomic_write_json(self.path, {
+        atomic_write(self.path, json_bytes({
             "version": self.FORMAT_VERSION,
             "meta": self.meta,
             "cells": self.cells,
-        })
+        }))

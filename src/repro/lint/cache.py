@@ -13,7 +13,7 @@ cache by content hash with no invalidation protocol at all:
 
 Entries live under ``$REPRO_CACHE_DIR`` (or ``$XDG_CACHE_HOME/repro``,
 default ``~/.cache/repro``) in a ``lint-v1`` subdirectory.  The
-location logic intentionally duplicates ``repro.core.store`` rather
+location logic intentionally duplicates ``repro.blobstore`` rather
 than importing it: the ``import-layering`` table declares ``lint``
 imports nothing, so the linter stays loadable without executing any
 simulator code.  Every cache operation is best-effort — a read-only or

@@ -450,10 +450,9 @@ class ProgramModel:
             info.effects.append(Effect("io", f"calls {dotted}()",
                                        node.lineno))
         # --- sinks: store documents / trace containers ---------------
+        # Every persisted blob goes through the blob store's one write.
         path = info.ctx.path
-        if path.endswith("store.py") and (
-                dotted.endswith((".write_text", ".write_bytes"))
-                or dotted in ("json.dump",)):
+        if dotted == "atomic_write" or dotted.endswith(".atomic_write"):
             info.sinks.append(Sink(
                 "store-document", f"store document write {dotted}()",
                 node.lineno))

@@ -7,13 +7,14 @@ already performed, across process invocations.  Layout::
 
     ~/.cache/repro/traces-v<TRACE_SCHEMA>/<fingerprint>.trace
 
-The root follows the result store's conventions exactly
-(``REPRO_CACHE_DIR`` override, XDG fallback), and so does the failure
-discipline: writes are atomic (temp file + ``os.replace``), and a
-container that fails to parse, fails its checksum, or carries the
-wrong fingerprint is **quarantined** into ``corrupt/`` with a
-``.reason`` sidecar — evidence for ``python -m repro doctor``, never a
-silent recompute-over.
+:class:`TraceStore` is one kind of :class:`~repro.blobstore.BlobStore`,
+next to the result store under the same root, and shares its failure
+discipline: writes are atomic, and a container that fails to parse,
+fails its checksum, or carries the wrong fingerprint is a
+:class:`~repro.blobstore.Defect` — **quarantined** into ``corrupt/``
+with a ``.reason`` sidecar, evidence for ``python -m repro doctor``,
+never a silent recompute-over.  This module owns only the container
+codec.
 
 Container format (all integers little-endian)::
 
@@ -33,13 +34,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import pathlib
 import struct
 import sys
-import tempfile
 
-from repro.faults.manifest import atomic_write_json
+from repro.blobstore import BlobStore, Defect, atomic_write
 from repro.trace.capture import CapturedTrace
 from repro.trace.codec import COLUMNS, TRACE_SCHEMA, EncodedStream
 
@@ -50,7 +48,7 @@ _HEADER_LEN = struct.Struct("<I")
 _DIGEST_BYTES = 32
 
 
-class TraceFormatError(ValueError):
+class TraceFormatError(Defect):
     """A trace container that cannot be trusted (torn, renamed, alien)."""
 
 
@@ -178,62 +176,21 @@ def deserialize(data: bytes) -> CapturedTrace:
     )
 
 
-def _atomic_write_bytes(path: pathlib.Path, data: bytes) -> None:
-    """Temp file + ``os.replace``: a kill mid-write never tears."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        prefix=path.name + ".", suffix=".tmp", dir=str(path.parent),
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-
-
-class TraceStore:
+class TraceStore(BlobStore):
     """A directory of fingerprint-keyed trace containers."""
 
-    def __init__(self, root: str | pathlib.Path | None = None) -> None:
-        if root is None:
-            # Imported lazily: core.store imports the runner, which
-            # imports the trace pipeline — a module-level import here
-            # would close that cycle.
-            from repro.core.store import default_cache_dir
+    name = "traces"
+    schema = TRACE_SCHEMA
+    suffix = ".trace"
 
-            root = default_cache_dir()
-        self.root = pathlib.Path(root)
-        self.directory = self.root / f"traces-v{TRACE_SCHEMA}"
-        self.corrupt_directory = self.root / "corrupt"
-
-    def path_for(self, fingerprint: str) -> pathlib.Path:
-        return self.directory / f"{fingerprint}.trace"
-
-    def _decode(self, path: pathlib.Path, fingerprint: str
-                ) -> tuple[CapturedTrace | None, str | None]:
-        """``(trace, None)``, ``(None, reason)``, or ``(None, None)``."""
-        try:
-            data = path.read_bytes()
-        except FileNotFoundError:
-            return None, None
-        except OSError as exc:
-            return None, f"unreadable: {exc}"
-        try:
-            captured = deserialize(data)
-        except TraceFormatError as exc:
-            return None, str(exc)
+    def decode(self, data: bytes, fingerprint: str) -> CapturedTrace:
+        """The trace a container holds; raises :class:`TraceFormatError`."""
+        captured = deserialize(data)
         if captured.fingerprint != fingerprint:
-            return None, (f"fingerprint field {captured.fingerprint!r} "
-                          "does not match the filename (renamed or copied "
-                          "container)")
-        return captured, None
+            raise TraceFormatError(
+                f"fingerprint field {captured.fingerprint!r} does not "
+                "match the filename (renamed or copied container)")
+        return captured
 
     def get(self, fingerprint: str) -> CapturedTrace | None:
         """The stored trace, or None on a miss.
@@ -241,38 +198,17 @@ class TraceStore:
         A defective container is also a miss, but it is quarantined
         first so the evidence survives recomputation.
         """
-        captured, defect = self._decode(self.path_for(fingerprint),
-                                        fingerprint)
-        if defect is not None:
-            self.quarantine(fingerprint, defect)
-            return None
-        return captured
+        return self._load(fingerprint)
 
     def put(self, captured: CapturedTrace) -> None:
         """Persist a captured trace atomically under its fingerprint."""
-        _atomic_write_bytes(self.path_for(captured.fingerprint),
-                            serialize(captured))
-
-    def quarantine(self, fingerprint: str, reason: str) -> pathlib.Path | None:
-        """Move a defective container into ``corrupt/`` with a reason."""
-        source = self.path_for(fingerprint)
-        target = self.corrupt_directory / source.name
-        self.corrupt_directory.mkdir(parents=True, exist_ok=True)
-        try:
-            os.replace(source, target)
-        except OSError:
-            return None  # vanished (or unmovable) concurrently
-        atomic_write_json(target.with_suffix(".reason"),
-                          {"fingerprint": fingerprint, "reason": reason})
-        return target
+        atomic_write(self.path_for(captured.fingerprint), serialize(captured))
 
     def entries(self) -> list[dict]:
         """Header metadata for every stored trace, filename-sorted."""
         listing = []
-        if not self.directory.is_dir():
-            return listing
-        for path in sorted(self.directory.glob("*.trace")):
-            captured, defect = self._decode(path, path.stem)
+        for path in self._blobs():
+            captured, _defect = self._decode_file(path, path.stem)
             if captured is None:
                 continue  # vanished or defective; doctor reports those
             listing.append({
@@ -283,79 +219,3 @@ class TraceStore:
                 "meta": captured.meta,
             })
         return listing
-
-    def remove(self, prefix: str) -> int:
-        """Unlink entries whose fingerprint starts with ``prefix``."""
-        removed = 0
-        if not self.directory.is_dir():
-            return removed
-        for path in sorted(self.directory.glob("*.trace")):
-            if path.stem.startswith(prefix):
-                try:
-                    path.unlink()
-                    removed += 1
-                except FileNotFoundError:
-                    pass
-        return removed
-
-    def clear(self) -> int:
-        """Remove every current-version trace; returns how many."""
-        return self.remove("")
-
-    def doctor(self, repair: bool = True) -> dict:
-        """Scan every container; quarantine (or just report) defects."""
-        scanned = 0
-        healthy = 0
-        defects: list[tuple[str, str]] = []
-        if self.directory.is_dir():
-            for path in sorted(self.directory.glob("*.trace")):
-                captured, defect = self._decode(path, path.stem)
-                if captured is None and defect is None:
-                    continue  # removed while we scanned
-                scanned += 1
-                if defect is None:
-                    healthy += 1
-                    continue
-                defects.append((path.stem, defect))
-                if repair:
-                    self.quarantine(path.stem, defect)
-        corrupt = len(list(self.corrupt_directory.glob("*.trace"))) \
-            if self.corrupt_directory.is_dir() else 0
-        return {
-            "path": str(self.directory),
-            "scanned": scanned,
-            "healthy": healthy,
-            "defects": defects,
-            "repaired": repair,
-            "corrupt_entries": corrupt,
-            "stale_versions": self._stale_versions(),
-        }
-
-    def _stale_versions(self) -> list[str]:
-        if not self.root.is_dir():
-            return []
-        return sorted(
-            p.name for p in self.root.glob("traces-v*")
-            if p.is_dir() and p != self.directory
-        )
-
-    def stats(self) -> dict:
-        """Entry count, total bytes, and stale-version leftovers."""
-        entries = 0
-        nbytes = 0
-        if self.directory.is_dir():
-            for path in self.directory.glob("*.trace"):
-                try:
-                    nbytes += path.stat().st_size
-                except FileNotFoundError:
-                    continue  # unlinked by a concurrent clear()
-                entries += 1
-        corrupt = len(list(self.corrupt_directory.glob("*.trace"))) \
-            if self.corrupt_directory.is_dir() else 0
-        return {
-            "path": str(self.directory),
-            "entries": entries,
-            "bytes": nbytes,
-            "corrupt_entries": corrupt,
-            "stale_versions": self._stale_versions(),
-        }

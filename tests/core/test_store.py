@@ -1,5 +1,9 @@
 """The on-disk result store: round-trips, versioning, incrementality,
-quarantine of defective documents, and the doctor scan."""
+quarantine of defective documents, and the doctor scan.
+
+The crash/corruption outcomes every stored kind shares live in one
+matrix, ``tests/test_blobstore.py``; this file keeps what only the
+result documents have."""
 
 from __future__ import annotations
 

@@ -266,6 +266,19 @@ class TestCheckpointResume:
                              checkpoint_dir=ckpt, resume=True)
         _assert_tables_identical(engine.run(cells), serial_reference)
 
+    @pytest.mark.parametrize("resume", [False, True])
+    def test_non_utf8_journal_starts_fresh(self, tmp_path, resume):
+        """A journal holding bytes that are not UTF-8 (torn by older
+        tooling) is discarded, with or without ``--resume``, instead of
+        crashing every sweep over that cell set."""
+        fingerprints = [Cell("single", NAMES[0], WEE).fingerprint()]
+        seeded = SweepCheckpoint(tmp_path, fingerprints)
+        seeded.put(fingerprints[0], [{"x": 1}])
+        seeded.path.write_bytes(b'{"cells": \xff}')
+        checkpoint = SweepCheckpoint(tmp_path, fingerprints, resume=resume)
+        assert len(checkpoint) == 0
+        assert checkpoint.get(fingerprints[0]) is None
+
     def test_checkpoint_digest_is_order_insensitive(self):
         assert sweep_digest(["b", "a"]) == sweep_digest(["a", "b", "a"])
 

@@ -182,6 +182,40 @@ def test_sim_clock_fed_by_wrapped_clock_is_flagged(fixture_tree):
     assert "simulated clock store self.now" in taint.message
 
 
+def test_laundered_clock_reaching_a_blob_write_is_flagged(fixture_tree):
+    write(fixture_tree, "blobstore.py", """
+        import os
+
+        def atomic_write(path, data):
+            with open(f"{path}.tmp", "wb") as handle:
+                handle.write(data)
+            os.replace(f"{path}.tmp", path)
+        """)
+    write(fixture_tree, "core/stamp.py", """
+        from time import monotonic
+
+        def stamp():
+            return monotonic()
+        """)
+    write(fixture_tree, "core/store.py", """
+        import json
+
+        from fixture.blobstore import atomic_write
+        from fixture.core.stamp import stamp
+
+        def save(path, document):
+            document["written"] = stamp()
+            atomic_write(path, json.dumps(document).encode())
+        """)
+    findings = run_lint(fixture_tree)
+    assert rules_of(findings) == {"taint-flow"}
+    [finding] = findings
+    assert finding.path == "core/store.py"
+    assert "store document write atomic_write()" in finding.message
+    assert "core.store.save -> core.stamp.stamp -> time.monotonic()" \
+        in finding.message
+
+
 # ---------------------------------------------------------------------
 # fingerprint-purity
 # ---------------------------------------------------------------------

@@ -11,7 +11,8 @@ import pathlib
 
 import repro
 from repro.lint.baseline import Baseline
-from repro.lint.engine import run_lint
+from repro.lint.engine import LintEngine, run_lint
+from repro.lint.program.model import build_model
 
 PACKAGE_ROOT = pathlib.Path(repro.__file__).resolve().parent
 BASELINE = PACKAGE_ROOT.parent.parent / "lint-baseline.json"
@@ -44,3 +45,14 @@ def test_baseline_entries_carry_reasons():
     missing = [entry for entry in document["entries"]
                if not entry.get("reason", "").strip()]
     assert missing == []
+
+
+def test_live_tree_has_store_document_sinks():
+    """taint-flow guards what the stores write only if the live tree
+    has a store-document sink for it to guard."""
+    contexts, _ = LintEngine().load(PACKAGE_ROOT)
+    model = build_model(contexts, "repro")
+    sinks = [info.qualname for info in model.functions.values()
+             for sink in info.sinks if sink.kind == "store-document"]
+    assert {"core.store:ResultStore._put",
+            "trace.store:TraceStore.put"} <= set(sinks)

@@ -1,5 +1,9 @@
 """The on-disk trace store: container round-trips, every corruption
-class, quarantine evidence, and the doctor scan."""
+class, quarantine evidence, and the doctor scan.
+
+The crash/corruption outcomes every stored kind shares live in one
+matrix, ``tests/test_blobstore.py``; this file keeps what only the
+container format has."""
 
 from __future__ import annotations
 
@@ -185,36 +189,6 @@ class TestTraceStore:
 
 
 class TestDoctor:
-    def test_healthy_store(self, tmp_path, captured):
-        store = TraceStore(tmp_path)
-        store.put(captured)
-        report = store.doctor()
-        assert report["scanned"] == 1
-        assert report["healthy"] == 1
-        assert report["defects"] == []
-        assert report["corrupt_entries"] == 0
-
-    def test_check_mode_reports_without_touching(self, tmp_path, captured):
-        store = TraceStore(tmp_path)
-        store.put(captured)
-        path = store.path_for(captured.fingerprint)
-        path.write_bytes(b"garbage")
-        report = store.doctor(repair=False)
-        assert len(report["defects"]) == 1
-        assert report["repaired"] is False
-        assert path.exists()
-
-    def test_repair_quarantines(self, tmp_path, captured):
-        store = TraceStore(tmp_path)
-        store.put(captured)
-        path = store.path_for(captured.fingerprint)
-        path.write_bytes(b"garbage")
-        report = store.doctor(repair=True)
-        assert len(report["defects"]) == 1
-        assert not path.exists()
-        assert (store.corrupt_directory / path.name).exists()
-        assert store.doctor()["corrupt_entries"] == 1
-
     def test_stale_versions_listed(self, tmp_path, captured):
         store = TraceStore(tmp_path)
         store.put(captured)
