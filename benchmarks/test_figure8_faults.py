@@ -8,8 +8,6 @@ def test_figure8_degraded_modes(benchmark, harness_config, results_dir):
     table = benchmark.pedantic(
         figure8_faults.run,
         args=(harness_config,),
-        kwargs={"manifest_path": results_dir / "figure8_manifest.json",
-                "fresh": True},
         rounds=1, iterations=1,
     )
     emit(results_dir, "figure8", table)

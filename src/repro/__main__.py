@@ -33,7 +33,8 @@ Options:
     --window N    measurement window in micro-ops   (default 80000)
     --warm N      functional-warming replay budget  (default window/3)
     --seed N      deterministic run seed            (default 7)
-    --jobs N      worker processes for figure sweeps (default 1)
+    --jobs N      worker processes for figure, faults and cluster
+                  sweeps (default 1)
     --timeout S   per-cell wall-clock deadline in seconds (default none)
     --retries N   re-executions of a failed/crashed/timed-out cell
                   before the sweep reports it (default 2)
@@ -47,17 +48,17 @@ Options:
                   (both, with a static-vs-measured comparison table)
     --no-cache    bypass the in-process and on-disk result caches
     --bars        render figures as ASCII bar charts instead of tables
-    --fresh       discard the faults sweep manifest before running
     --check       doctor only: report defects without quarantining
 
-Figure sweeps persist results under ``~/.cache/repro/`` (override with
-``REPRO_CACHE_DIR``), keyed by a full-configuration fingerprint, so
-regenerating a figure is incremental across invocations.  Sweeps run
-supervised: a crashed or hung worker costs only the cells in flight,
-completed cells are journaled crash-safely (``--resume`` picks an
-interrupted sweep back up), and every result is validated against
-physical invariants before it reaches the store or a figure —
-``doctor`` audits the store the same way.
+Figure, faults and cluster sweeps persist results under
+``~/.cache/repro/`` (override with ``REPRO_CACHE_DIR``), keyed by a
+full-configuration fingerprint, so regenerating a figure is incremental
+across invocations.  Sweeps run supervised: a crashed or hung worker
+costs only the cells in flight, completed cells are journaled
+crash-safely (``--resume`` picks an interrupted sweep back up), and
+every result is validated against physical invariants before it
+reaches the store or a figure — ``doctor`` audits the store the same
+way.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ _VALUE_FLAGS = ("--window", "--warm", "--seed", "--jobs", "--retries",
 #: Flags that consume the following token as a float value.
 _FLOAT_FLAGS = ("--timeout",)
 #: Boolean switches.
-_SWITCH_FLAGS = ("--bars", "--fresh", "--no-cache", "--resume", "--check")
+_SWITCH_FLAGS = ("--bars", "--no-cache", "--resume", "--check")
 #: Flags that consume the following token from a fixed choice set.
 _CHOICE_FLAGS = {"--costs": ("static", "measured", "delta")}
 
@@ -84,7 +85,6 @@ class CliOptions:
     """Parsed switches that tune *how* a command runs."""
 
     bars: bool = False
-    fresh: bool = False
     jobs: int = 1
     no_cache: bool = False
     timeout: float | None = None
@@ -168,8 +168,7 @@ def _parse_config(args: list[str]) -> tuple[list[str], RunConfig, CliOptions]:
     config = RunConfig(window_uops=window,
                        warm_uops=warm if warm is not None else window // 3,
                        seed=values["--seed"])
-    options = CliOptions(bars=switches["--bars"], fresh=switches["--fresh"],
-                         jobs=values["--jobs"],
+    options = CliOptions(bars=switches["--bars"], jobs=values["--jobs"],
                          no_cache=switches["--no-cache"],
                          timeout=timeout, retries=values["--retries"],
                          resume=switches["--resume"],
@@ -180,11 +179,11 @@ def _parse_config(args: list[str]) -> tuple[list[str], RunConfig, CliOptions]:
     return rest, config, options
 
 
-def _build_engine(options: CliOptions, engine_cls=None):
-    """The sweep engine the figure and fleet commands share: supervised
-    and parallel when asked, backed by the persistent store unless
-    ``--no-cache`` (the crash-safe checkpoint journal is kept either
-    way, so ``--resume`` works even for uncached sweeps)."""
+def _build_engine(options: CliOptions):
+    """The sweep engine the figure, faults and fleet commands share:
+    supervised and parallel when asked, backed by the persistent store
+    unless ``--no-cache`` (the crash-safe checkpoint journal is kept
+    either way, so ``--resume`` works even for uncached sweeps)."""
     from repro.core.store import ResultStore, default_cache_dir
     from repro.core.sweep import SweepEngine
     from repro.faults.retry import RetryPolicy
@@ -192,7 +191,7 @@ def _build_engine(options: CliOptions, engine_cls=None):
     store = None if options.no_cache else ResultStore()
     policy = RetryPolicy.for_harness(timeout=options.timeout,
                                      retries=options.retries)
-    return (engine_cls or SweepEngine)(
+    return SweepEngine(
         jobs=options.jobs, use_cache=not options.no_cache, store=store,
         retry=policy, checkpoint_dir=default_cache_dir() / "checkpoints",
         resume=options.resume)
@@ -469,13 +468,25 @@ def main(argv: list[str] | None = None) -> int:
         return _doctor_command(options)
     if command == "trace":
         return _trace_command(args[1:], config, options)
+    from repro.core.supervise import SweepCellError
+
+    try:
+        return _sweep_command(command, args, config, options)
+    except SweepCellError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+def _sweep_command(command: str, args: list[str], config: RunConfig,
+                   options: CliOptions) -> int:
+    """Dispatch the commands that run sweeps; a cell that fails for
+    good surfaces as :class:`~repro.core.supervise.SweepCellError`."""
     if command == "faults":
         from repro.core.experiments import figure8_faults
 
-        workloads = args[1:] or None
         try:
-            table = figure8_faults.run(config, workloads=workloads,
-                                       fresh=options.fresh)
+            table = figure8_faults.run(config, workloads=args[1:] or None,
+                                       engine=_build_engine(options))
         except KeyError as exc:
             print(f"error: {exc.args[0]}", file=sys.stderr)
             return 2
@@ -483,10 +494,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if command == "cluster":
         from repro.core.experiments import figure9_cluster
-        from repro.core.supervise import SweepCellError
-        from repro.cluster.sweep import ClusterSweepEngine
 
-        engine = _build_engine(options, ClusterSweepEngine)
+        engine = _build_engine(options)
         if len(args) > 1 and args[1] == "calibrate":
             return _calibrate_command(args[2:], config, options)
         workload = args[1] if len(args) > 1 else "data-serving"
@@ -503,9 +512,6 @@ def main(argv: list[str] | None = None) -> int:
         except KeyError as exc:
             print(f"error: {exc.args[0]}", file=sys.stderr)
             return 2
-        except SweepCellError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
         print(table.to_text())
         _report_trace_taps()
         return 0
@@ -523,28 +529,16 @@ def main(argv: list[str] | None = None) -> int:
             print(experiment(config).to_text())
             print()
         return 0
-    from repro.core.supervise import SweepCellError
-
-    if command == "all":
-        from repro.core.experiments import ALL_EXPERIMENTS
-
-        engine = _build_engine(options)
-        for name in ALL_EXPERIMENTS:
-            try:
-                _run_figure(name, config, options, engine=engine)
-            except SweepCellError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
-            print()
-        return 0
     from repro.core.experiments import ALL_EXPERIMENTS
 
+    if command == "all":
+        engine = _build_engine(options)
+        for name in ALL_EXPERIMENTS:
+            _run_figure(name, config, options, engine=engine)
+            print()
+        return 0
     if command in ALL_EXPERIMENTS:
-        try:
-            _run_figure(command, config, options)
-        except SweepCellError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        _run_figure(command, config, options)
         return 0
     print(f"unknown command {command!r}; try `python -m repro help`")
     return 2

@@ -30,7 +30,7 @@ from repro.cluster.recorder import LatencyRecorder
 from repro.cluster.ring import HashRing
 from repro.cluster.service import (ClusterConfig, ClusterService,
                                    default_cluster_policy, simulate)
-from repro.cluster.sweep import ClusterCell, ClusterSweepEngine
+from repro.cluster.sweep import ClusterCell
 
 __all__ = [
     "CLUSTER_FAULT_KINDS",
@@ -42,7 +42,6 @@ __all__ = [
     "ClusterFaultEvent",
     "ClusterFaultPlan",
     "ClusterService",
-    "ClusterSweepEngine",
     "Event",
     "EventLoop",
     "FLEET_WORKLOADS",

@@ -1,26 +1,22 @@
-"""Fleet cells under the supervised sweep machinery.
-
-The supervisor, checkpoint journal, and result store were built
-payload-agnostic (a cell is ``(index, cell, fingerprint)``, a journal
-entry an opaque list), so the fleet layer rides the same rails as the
-microarchitectural sweeps: crash-isolated parallel workers, per-cell
-deadlines and retries, resumable checkpoints, validation gating every
-payload, and cell-order merging so ``--jobs N`` is byte-identical to a
-serial run.
+"""Fleet cells on the one sweep engine (:mod:`repro.core.sweep`):
+crash-isolated parallel workers, per-cell deadlines and retries,
+resumable checkpoints, validated payloads, and cell-order merging so
+``--jobs N`` is byte-identical to a serial run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from repro.cluster.service import ClusterConfig, simulate
-from repro.core.sweep import config_fingerprint
+from repro.core.sweep import SweepEngine, config_fingerprint
+from repro.core.validate import validate_cluster_summaries
 
 
 @dataclass(frozen=True)
 class ClusterCell:
-    """One declarative fleet measurement (kind is always ``cluster``)."""
+    """One declarative fleet measurement (kind is always ``cluster``);
+    its payload is ``[summary]``, already JSON-shaped."""
 
     name: str
     config: ClusterConfig
@@ -29,110 +25,28 @@ class ClusterCell:
     def fingerprint(self) -> str:
         return config_fingerprint(self.kind, self.name, self.config)
 
+    def execute(self, use_cache: bool = True) -> list[dict]:
+        return [simulate(self.config)]  # fleet cells have no in-process LRU
 
-def _cluster_cell_worker(task: tuple[ClusterCell, bool]) -> list[dict]:
-    """Pool worker: simulate one fleet cell, return its summary list.
-
-    The summary is already JSON-shaped, so unlike the runner cells no
-    decode step is needed on the supervising side.
-    """
-    cell, _use_cache = task  # fleet cells have no in-process LRU
-    return [simulate(cell.config)]
-
-
-class ClusterSweepEngine:
-    """The fleet counterpart of :class:`~repro.core.sweep.SweepEngine`.
-
-    Same knobs, same guarantees; results are summary-dict lists (one
-    summary per cell) instead of ``WorkloadRun`` lists.
-    """
-
-    def __init__(self, jobs: int = 1, use_cache: bool = True,
-                 store=None, retry=None, checkpoint_dir=None,
-                 resume: bool = False, worker=None) -> None:
-        from repro.faults.retry import RetryPolicy
-
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        self.jobs = jobs
-        self.use_cache = use_cache
-        self.store = store
-        self.retry = retry if retry is not None else RetryPolicy.for_harness()
-        self.checkpoint_dir = checkpoint_dir
-        self.resume = resume
-        self.worker = worker if worker is not None else _cluster_cell_worker
-
-    def run(self, cells: Sequence[ClusterCell]) -> list[list[dict]]:
-        from repro.core.supervise import (SweepCellError, SweepCheckpoint,
-                                          SweepSupervisor, run_serial)
-        from repro.core.validate import (ValidationError,
-                                         validate_cluster_summaries)
-
-        fingerprints = [cell.fingerprint() for cell in cells]
-        checkpoint = None
-        if self.checkpoint_dir is not None:
-            checkpoint = SweepCheckpoint(self.checkpoint_dir, fingerprints,
-                                         resume=self.resume)
-        results: list[list[dict] | None] = [None] * len(cells)
-        pending: list[tuple[int, ClusterCell, str]] = []
-        for index, (cell, fingerprint) in enumerate(zip(cells, fingerprints)):
-            hit = None
-            if self.store is not None and self.use_cache:
-                hit = self.store.get_cluster(fingerprint)
-            if hit is None and checkpoint is not None:
-                hit = self._from_checkpoint(checkpoint, cell, fingerprint)
-            if hit is not None:
-                results[index] = hit
-            else:
-                pending.append((index, cell, fingerprint))
-
-        def accept(index: int, cell: ClusterCell, fingerprint: str,
-                   summaries: list[dict]) -> None:
-            if not isinstance(summaries, list):
-                raise ValidationError(
-                    f"cell {cell.kind}:{cell.name}",
-                    [f"worker payload is not a list: {summaries!r}"])
-            validate_cluster_summaries(
-                summaries, context=f"cell {cell.kind}:{cell.name}")
-            if checkpoint is not None:
-                checkpoint.put(fingerprint, summaries)
-            if self.store is not None and self.use_cache:
-                self.store.put_cluster(fingerprint, summaries,
-                                       validate=False)
-            results[index] = summaries
-
-        failures: list[dict] = []
-        if pending:
-            if self.jobs > 1 and len(pending) > 1:
-                supervisor = SweepSupervisor(self.worker, self.jobs,
-                                             self.retry,
-                                             use_cache=self.use_cache)
-                failures = supervisor.run(pending, accept)
-            else:
-                failures = run_serial(
-                    pending,
-                    lambda cell: self.worker((cell, self.use_cache)),
-                    self.retry, accept)
-        if failures:
-            raise SweepCellError(failures)
-        if checkpoint is not None:
-            checkpoint.complete()
-        return results  # type: ignore[return-value]
-
-    def _from_checkpoint(self, checkpoint, cell: ClusterCell,
-                         fingerprint: str) -> list[dict] | None:
-        """A journaled cell's summaries, re-validated before reuse."""
-        from repro.core.validate import (ValidationError,
-                                         validate_cluster_summaries)
-
-        payload = checkpoint.get(fingerprint)
-        if payload is None:
-            return None
-        try:
-            validate_cluster_summaries(
-                payload, context=f"checkpoint {cell.kind}:{cell.name}")
-        except ValidationError:
-            return None  # torn or stale journal entry: recompute
-        if self.store is not None and self.use_cache:
-            self.store.put_cluster(fingerprint, payload, validate=False)
+    def decode(self, payload: list) -> list[dict]:
+        if not isinstance(payload, list):
+            raise TypeError(f"payload is not a list: {payload!r}")
         return payload
+
+    def validate(self, summaries: list[dict], context: str) -> None:
+        validate_cluster_summaries(summaries, context=context)
+
+    def load(self, store, fingerprint: str) -> list[dict] | None:
+        return store.get_cluster(fingerprint)
+
+    def save(self, store, fingerprint: str, summaries: list[dict]) -> None:
+        store.put_cluster(fingerprint, summaries, validate=False)
+
+
+class ClusterSweepEngine(SweepEngine):
+    """The fleet engine's old name; any :class:`SweepEngine` runs fleet
+    cells.  ``run`` is bound here, not inherited: ``bench/tracing.py``
+    wraps ``SweepEngine.run`` and ``ClusterSweepEngine.run`` as two
+    sites, and an inherited ``run`` would be wrapped twice."""
+
+    run = SweepEngine.run

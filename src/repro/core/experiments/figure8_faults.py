@@ -12,22 +12,25 @@ side by side per workload:
 * the service-level story — goodput, retry rate, and the simulated
   p99 latency the clients observe.
 
-The sweep checkpoints each completed cell into a crash-safe JSON
-manifest under ``benchmarks/results/``, so an interrupted run resumes
-where it stopped and re-invocations skip completed cells.
+Each (workload, mode) pair is a :class:`FaultCell` on the shared
+:class:`~repro.core.sweep.SweepEngine`, so this table gets what every
+other figure has: rows cached in the result store, ``--jobs``,
+``--timeout`` and ``--retries``, a checkpoint journal that ``--resume``
+picks up after a kill, and a validation gate
+(:func:`~repro.core.validate.check_fault_row`) on every row, fresh or
+reused.
 """
 
 from __future__ import annotations
 
-import pathlib
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 from repro.core import analysis
 from repro.core.report import ExperimentTable
 from repro.core.runner import RunConfig, run_workload
-from repro.core.sweep import config_fingerprint
+from repro.core.sweep import SweepEngine, config_fingerprint
+from repro.core.validate import validate_fault_rows
 from repro.core.workloads import REGISTRY
-from repro.faults.manifest import SweepManifest
 from repro.faults.plan import FaultPlan
 
 #: The workloads the degraded-mode table characterizes by default.
@@ -37,12 +40,6 @@ DEFAULT_WORKLOADS = [
     "media-streaming",
     "web-search",
 ]
-
-#: Where the sweep checkpoints by default.
-DEFAULT_MANIFEST = (
-    pathlib.Path(__file__).resolve().parents[4]
-    / "benchmarks" / "results" / "figure8_manifest.json"
-)
 
 _COLUMNS = [
     "Workload",
@@ -63,14 +60,15 @@ def degraded_plan(seed: int = 7, intensity: float = 1.0) -> FaultPlan:
     return FaultPlan.degraded(seed=seed, intensity=intensity)
 
 
-def _measure_cell(name: str, config: RunConfig) -> dict:
+def _measure_cell(name: str, config: RunConfig,
+                  use_cache: bool = True) -> dict:
     """Run one (workload, mode) cell and distill its row payload.
 
     ``require_app=True``: the row reads service metrics and fault
     counters off the live app, which a trace-store hit (``app=None``)
     cannot supply.
     """
-    run = run_workload(name, config, require_app=True)
+    run = run_workload(name, config, use_cache, require_app=True)
     r = run.result
     app = run.app
     service = app.service.summary()
@@ -87,46 +85,62 @@ def _measure_cell(name: str, config: RunConfig) -> dict:
     }
 
 
-def run(config: RunConfig | None = None,
-        workloads: list[str] | None = None,
-        manifest_path: str | pathlib.Path | None = DEFAULT_MANIFEST,
-        fresh: bool = False,
-        intensity: float = 1.0) -> ExperimentTable:
-    """Build the healthy-vs-degraded table.
+@dataclass(frozen=True)
+class FaultCell:
+    """One (workload, mode) row of the table; its payload is ``[row]``,
+    the dict :func:`_measure_cell` distills."""
 
-    ``manifest_path=None`` disables checkpointing; ``fresh=True``
-    discards any existing manifest first.  Completed cells found in the
-    manifest are *not* recomputed — this is what lets a killed sweep
-    resume mid-run.
-    """
-    config = config or RunConfig()
+    name: str
+    mode: str
+    config: RunConfig
+
+    @property
+    def kind(self) -> str:  # failure messages name the mode
+        return f"faults-{self.mode}"
+
+    def fingerprint(self) -> str:
+        return config_fingerprint(self.kind, self.name, self.config)
+
+    def execute(self, use_cache: bool = True) -> list[dict]:
+        return [_measure_cell(self.name, self.config, use_cache)]
+
+    def decode(self, payload: list) -> list[dict]:
+        row, = payload  # exactly one row per cell
+        return [row]
+
+    def validate(self, rows: list[dict], context: str) -> None:
+        validate_fault_rows(rows, context=context)
+
+    def load(self, store, fingerprint: str) -> list[dict] | None:
+        return store.get_faults(fingerprint)
+
+    def save(self, store, fingerprint: str, rows: list[dict]) -> None:
+        store.put_faults(fingerprint, rows, validate=False)
+
+
+def cells(config: RunConfig, workloads: list[str] | None = None,
+          intensity: float = 1.0) -> list[FaultCell]:
+    """The table's cells: a healthy and a degraded row per workload."""
     names = workloads or DEFAULT_WORKLOADS
     for name in names:
         if name not in REGISTRY:
             known = ", ".join(sorted(REGISTRY))
             raise KeyError(f"unknown workload {name!r}; known: {known}")
     plan = degraded_plan(seed=config.seed, intensity=intensity)
-    degraded_config = replace(config, fault_plan=plan)
-    manifest = None
-    if manifest_path is not None:
-        # Key the manifest on the *full* configuration fingerprint (not
-        # just window/seed): a sweep rerun with different machine
-        # parameters must discard the stale manifest, never mix in its
-        # cells.
-        meta = {
-            "experiment": "figure8",
-            "window_uops": config.window_uops,
-            "warm_uops": config.warm_uops,
-            "seed": config.seed,
-            "intensity": intensity,
-            "plan_events": len(plan.events),
-            "healthy_config": config_fingerprint("single", "figure8", config),
-            "degraded_config": config_fingerprint("single", "figure8",
-                                                  degraded_config),
-        }
-        manifest = SweepManifest(manifest_path, meta)
-        if fresh:
-            manifest.discard()
+    modes = [("healthy", config),
+             ("degraded", replace(config, fault_plan=plan))]
+    return [FaultCell(name, mode, cell_config)
+            for name in names for mode, cell_config in modes]
+
+
+def run(config: RunConfig | None = None,
+        workloads: list[str] | None = None,
+        engine: SweepEngine | None = None,
+        intensity: float = 1.0) -> ExperimentTable:
+    """Build the healthy-vs-degraded table on ``engine`` (default: a
+    serial engine with no result store and no journal)."""
+    config = config or RunConfig()
+    table_cells = cells(config, workloads, intensity)
     table = ExperimentTable(
         title=(
             "Figure 8. Healthy vs. degraded-mode characterization "
@@ -134,29 +148,23 @@ def run(config: RunConfig | None = None,
         ),
         columns=list(_COLUMNS),
     )
-    modes = [("healthy", config), ("degraded", degraded_config)]
-    for name in names:
-        for mode, cell_config in modes:
-            key = f"{name}|{mode}"
-            payload = manifest.get(key) if manifest is not None else None
-            if payload is None:
-                payload = _measure_cell(name, cell_config)
-                if manifest is not None:
-                    manifest.put(key, payload)
-            table.add_row(
-                Workload=REGISTRY[name].display_name,
-                Mode=mode,
-                **{
-                    "IPC": float(payload["ipc"]),
-                    "L1-I MPKI": float(payload["l1i_mpki"]),
-                    "L2-I MPKI": float(payload["l2i_mpki"]),
-                    "Code KB": float(payload["code_kb"]),
-                    "Goodput": float(payload["goodput"]),
-                    "Retry rate": float(payload["retry_rate"]),
-                    "p99 (uops)": int(payload["p99"]),
-                    "Faults": int(payload["faults_fired"]),
-                },
-            )
+    results = (engine or SweepEngine()).run(table_cells)
+    for cell, (row,) in zip(table_cells, results):
+        table.add_row(
+            Workload=REGISTRY[cell.name].display_name,
+            Mode=cell.mode,
+            **{
+                "IPC": float(row["ipc"]),
+                "L1-I MPKI": float(row["l1i_mpki"]),
+                "L2-I MPKI": float(row["l2i_mpki"]),
+                "Code KB": float(row["code_kb"]),
+                "Goodput": float(row["goodput"]),
+                "Retry rate": float(row["retry_rate"]),
+                "p99 (uops)": int(row["p99"]),
+                "Faults": int(row["faults_fired"]),
+            },
+        )
+    plan = degraded_plan(seed=config.seed, intensity=intensity)
     table.notes.append(
         "Degraded runs execute the canonical fault plan "
         f"({len(plan.events)} recurring events, seed {config.seed}); "

@@ -18,11 +18,12 @@ fault scenario and reports, per cell:
 * load concentration — the hottest node's share of total busy time
   (skew makes this climb; replication and the balancer push back).
 
-Cells run under the same supervised sweep machinery as the
-microarchitectural figures: crash-isolated parallel workers, per-cell
-deadlines/retries, resumable checkpoints, validation gating every
-summary, and cell-order merging so ``--jobs N`` is byte-identical to a
-serial run at the same seed.
+Each cell is a :class:`~repro.cluster.sweep.ClusterCell` on the same
+:class:`~repro.core.sweep.SweepEngine` the microarchitectural figures
+use: crash-isolated parallel workers, per-cell deadlines/retries,
+resumable checkpoints, validation gating every summary, and cell-order
+merging so ``--jobs N`` is byte-identical to a serial run at the same
+seed.
 """
 
 from __future__ import annotations
@@ -30,9 +31,10 @@ from __future__ import annotations
 from repro.cluster.backend import build_backend
 from repro.cluster.faults import ClusterFaultEvent, ClusterFaultPlan
 from repro.cluster.service import ClusterConfig
-from repro.cluster.sweep import ClusterCell, ClusterSweepEngine
+from repro.cluster.sweep import ClusterCell
 from repro.core.report import ExperimentTable
 from repro.core.runner import RunConfig
+from repro.core.sweep import SweepEngine
 
 #: Fleet sizes swept by default (replication fixed at 2).
 DEFAULT_FLEETS = [2, 4, 8]
@@ -158,24 +160,6 @@ def calibrate_for(config: RunConfig, workload: str, engine=None):
         use_store=use_store)
 
 
-def _cluster_engine(engine) -> ClusterSweepEngine:
-    """A fleet engine sharing a figure engine's supervision knobs.
-
-    ``python -m repro all`` hands every figure one
-    :class:`~repro.core.sweep.SweepEngine`; fleet cells need the
-    cluster variant, so its jobs/cache/store/retry/checkpoint settings
-    are adopted rather than the engine itself.
-    """
-    if engine is None:
-        return ClusterSweepEngine()
-    if isinstance(engine, ClusterSweepEngine):
-        return engine
-    return ClusterSweepEngine(
-        jobs=engine.jobs, use_cache=engine.use_cache, store=engine.store,
-        retry=engine.retry, checkpoint_dir=engine.checkpoint_dir,
-        resume=engine.resume)
-
-
 def run(config: RunConfig | None = None, engine=None,
         workload: str = "data-serving",
         fleets: list[int] | None = None,
@@ -195,7 +179,7 @@ def run(config: RunConfig | None = None, engine=None,
     cells = build_cells(config, workload=workload, fleets=fleets,
                         replication=replication, costs=costs,
                         cost_model=cost_model)
-    results = _cluster_engine(engine).run(cells)
+    results = (engine or SweepEngine()).run(cells)
     table = ExperimentTable(
         title=("Figure 9. Fleet tail latency and resilience counters "
                "(replicated sharding, health-checked balancing, hedged "

@@ -18,8 +18,8 @@ Documents are intentionally minimal: the run's name, its full
 configuration (round-tripped through the same dataclasses), and the
 ``CoreResult`` counters.  Live app state never touches disk; a run
 restored from the store has ``app=None``, which is all the figure
-modules need.  The same directory holds fleet summaries (``cluster``)
-and service-cost models (``calibration``).
+modules need.  The same directory holds fleet summaries (``cluster``),
+Figure 8 rows (``faults``) and service-cost models (``calibration``).
 
 A document that fails to parse, carries the wrong fingerprint
 (renamed/copied file), or violates the physical invariants in
@@ -36,8 +36,10 @@ from repro.blobstore import (BlobStore, Defect, atomic_write,
                              default_cache_dir, json_bytes)
 from repro.core.runner import RunConfig, WorkloadRun
 from repro.core.validate import (check_cluster_summary, check_cost_model,
-                                 check_result, validate_cluster_summaries,
-                                 validate_cost_model, validate_runs)
+                                 check_fault_row, check_result,
+                                 validate_cluster_summaries,
+                                 validate_cost_model, validate_fault_rows,
+                                 validate_runs)
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.uarch.core import CoreResult
 from repro.uarch.params import CacheParams, MachineParams, PrefetcherParams
@@ -61,6 +63,13 @@ _VALIDATORS = {
     "runs": validate_runs,
     "cluster": validate_cluster_summaries,
     "calibration": validate_cost_model,
+    "faults": validate_fault_rows,
+}
+
+#: Kinds whose payload is a list of JSON rows: ``(row noun, checker)``.
+_ROW_KINDS = {
+    "cluster": ("summary", check_cluster_summary),
+    "faults": ("row", check_fault_row),
 }
 
 
@@ -118,7 +127,8 @@ class ResultStore(BlobStore):
 
     def decode(self, data: bytes, fingerprint: str) -> dict:
         """``{"runs": [WorkloadRun, ...]}`` for microarchitectural
-        results, ``{"cluster": [summary, ...]}`` for fleet results or
+        results, ``{"cluster": [summary, ...]}`` for fleet results,
+        ``{"faults": [row]}`` for a Figure 8 row or
         ``{"calibration": model}`` for a service-cost model; raises
         :class:`~repro.blobstore.Defect` on a defective document."""
         try:
@@ -134,18 +144,20 @@ class ResultStore(BlobStore):
             raise Defect(f"fingerprint field {raw.get('fingerprint')!r} "
                          "does not match the filename (renamed or copied "
                          "document)")
+        row_kind = next((kind for kind in _ROW_KINDS if kind in raw), None)
         if "calibration" in raw:
             payload = {"calibration": raw["calibration"]}
             violations = check_cost_model(raw["calibration"])
-        elif "cluster" in raw:
-            summaries = raw["cluster"]
-            if not isinstance(summaries, list):
-                raise Defect("cluster payload is not a list of summaries")
-            payload = {"cluster": summaries}
+        elif row_kind is not None:
+            noun, check = _ROW_KINDS[row_kind]
+            rows = raw[row_kind]
+            if not isinstance(rows, list):
+                raise Defect(f"{row_kind} payload is not a list of {noun}s")
+            payload = {row_kind: rows}
             violations = [
-                f"summary {index}: {violation}"
-                for index, summary in enumerate(summaries)
-                for violation in check_cluster_summary(summary)
+                f"{noun} {index}: {violation}"
+                for index, row in enumerate(rows)
+                for violation in check(row)
             ]
         else:
             try:
@@ -189,6 +201,11 @@ class ResultStore(BlobStore):
         """
         return self._get(fingerprint, "calibration")
 
+    def get_faults(self, fingerprint: str) -> list[dict] | None:
+        """The stored Figure 8 ``[row]``, or None (quarantines as
+        :meth:`get` does)."""
+        return self._get(fingerprint, "faults")
+
     def put(self, fingerprint: str, runs: list[WorkloadRun],
             validate: bool = True) -> None:
         """Persist ``runs`` under ``fingerprint`` atomically.
@@ -204,6 +221,11 @@ class ResultStore(BlobStore):
                     validate: bool = True) -> None:
         """Persist fleet-cell ``summaries`` under ``fingerprint``."""
         self._put(fingerprint, "cluster", summaries, validate)
+
+    def put_faults(self, fingerprint: str, rows: list[dict],
+                   validate: bool = True) -> None:
+        """Persist one Figure 8 cell's ``[row]`` under ``fingerprint``."""
+        self._put(fingerprint, "faults", rows, validate)
 
     def put_calibration(self, fingerprint: str, model: dict,
                         validate: bool = True) -> None:

@@ -1,11 +1,10 @@
 """Supervised execution for the sweep engine: crash isolation, per-cell
-deadlines, retries, and resumable checkpoints.
+deadlines, retries, and the resumable checkpoint journal.
 
-``SweepEngine`` used to push every pending cell through one
-``pool.map`` call: a single crashed, OOM-killed, or wedged worker
-aborted the whole sweep and discarded every completed cell.  At fleet
-scale the harness, not the simulator, becomes the reliability
-bottleneck, so this module supervises execution instead:
+:class:`~repro.core.sweep.SweepEngine` hands this module the cells its
+store and journal could not serve.  At fleet scale the harness, not the
+simulator, becomes the reliability bottleneck, so execution is
+supervised:
 
 * each cell is an **independently submitted future** with its own
   wall-clock deadline (``policy.timeout`` seconds; a pool cannot cancel
@@ -32,6 +31,7 @@ finished work is persisted, never discarded.
 from __future__ import annotations
 
 import hashlib
+import json
 import pathlib
 import random
 import time
@@ -40,8 +40,8 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import TYPE_CHECKING
 
+from repro.blobstore import atomic_write, json_bytes
 from repro.core.validate import ValidationError
-from repro.faults.manifest import SweepManifest
 from repro.faults.retry import RetryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -86,14 +86,15 @@ def sweep_digest(fingerprints: Sequence[str]) -> str:
 class SweepCheckpoint:
     """On-disk journal of completed cells for one sweep.
 
-    Keyed by :func:`sweep_digest` over the sweep's cell fingerprints,
-    so a journal can never be replayed into a *different* sweep; the
-    store schema version rides in the meta too, so a journal written by
-    an incompatible build is discarded rather than decoded.  Payloads
-    are ``run_to_dict`` documents — exactly what the result store
-    holds — which keeps a resumed sweep byte-identical to an
-    uninterrupted one.
+    One JSON document, ``{"version", "meta", "cells"}``, rewritten
+    atomically after every cell, so a kill leaves the previous journal
+    or the new one, never a torn one.  The meta holds the
+    :func:`sweep_digest` of the cell fingerprints and the store schema,
+    so a journal never replays into another sweep or build.  Each cell
+    entry is ``{"runs": payload}``: what the cell's ``execute`` shipped.
     """
+
+    FORMAT_VERSION = 1
 
     def __init__(self, directory: str | pathlib.Path,
                  fingerprints: Sequence[str], resume: bool = False) -> None:
@@ -101,32 +102,47 @@ class SweepCheckpoint:
 
         digest = sweep_digest(fingerprints)
         self.path = pathlib.Path(directory) / f"sweep-{digest[:24]}.json"
-        self._manifest = SweepManifest(
-            self.path, meta={"sweep": digest, "store_schema": SCHEMA_VERSION})
-        if not resume:
-            self._manifest.discard()
+        self.meta = {"sweep": digest, "store_schema": SCHEMA_VERSION}
+        self.cells: dict[str, dict] = {}
+        if resume:
+            self.cells = self._load()
+        else:
+            self.complete()
+
+    def _load(self) -> dict[str, dict]:
+        try:
+            raw = json.loads(self.path.read_bytes())
+        except (OSError, ValueError):  # missing, torn, or not UTF-8
+            return {}
+        if not isinstance(raw, dict) or raw.get("meta") != self.meta \
+                or raw.get("version") != self.FORMAT_VERSION \
+                or not isinstance(raw.get("cells"), dict):
+            return {}  # another build or another sweep: never mix it in
+        return {str(k): v for k, v in raw["cells"].items()
+                if isinstance(v, dict)}
 
     def __len__(self) -> int:
-        return len(self._manifest)
+        return len(self.cells)
 
-    def __contains__(self, fingerprint: str) -> bool:
-        return fingerprint in self._manifest
+    def get(self, fingerprint: str) -> list | None:
+        """The journaled payload for one cell, or None."""
+        payload = self.cells.get(fingerprint, {}).get("runs")
+        return payload if isinstance(payload, list) else None
 
-    def get(self, fingerprint: str) -> list[dict] | None:
-        """The journaled run payloads for one cell, or None."""
-        payload = self._manifest.get(fingerprint)
-        if payload is None:
-            return None
-        runs = payload.get("runs")
-        return runs if isinstance(runs, list) else None
-
-    def put(self, fingerprint: str, run_payloads: list[dict]) -> None:
+    def put(self, fingerprint: str, payload: list) -> None:
         """Journal one completed cell atomically."""
-        self._manifest.put(fingerprint, {"runs": run_payloads})
+        self.cells[fingerprint] = {"runs": payload}
+        atomic_write(self.path, json_bytes({
+            "version": self.FORMAT_VERSION,
+            "meta": self.meta,
+            "cells": self.cells,
+        }))
 
     def complete(self) -> None:
-        """The sweep finished whole: the journal has served its purpose."""
-        self._manifest.discard()
+        """Forget every cell and remove the file: the sweep finished
+        whole, or a run without ``--resume`` starts over."""
+        self.cells = {}
+        self.path.unlink(missing_ok=True)
 
 
 def _now() -> float:

@@ -15,19 +15,28 @@ Three pieces, layered so each is useful on its own:
   *name* under *config* with runner *kind*".  The figure modules emit
   lists of cells instead of calling the runner in ad-hoc loops.
 
-* :class:`SweepEngine` — executes a cell list, optionally fanning the
-  cells across a supervised process pool (``jobs > 1``, per-cell
+* :class:`SweepEngine` — the one loop every sweep runs through.  It
+  consults a persistent :class:`~repro.core.store.ResultStore` and the
+  resumable checkpoint journal first, then executes the remaining cells
+  serially or across a supervised process pool (``jobs > 1``, per-cell
   futures with deadlines, retries, and crash isolation — see
-  :mod:`repro.core.supervise`) and consulting a persistent
-  :class:`~repro.core.store.ResultStore` first.  Fresh results are
-  validated against physical invariants, journaled to a resumable
-  checkpoint, and merged in *cell order* regardless of completion
-  order, so a parallel sweep produces byte-identical tables to a
-  serial one at the same seed.
+  :mod:`repro.core.supervise`).  Every payload is decoded and validated
+  before it is journaled, stored or returned, and results merge in
+  *cell order* regardless of completion order, so a parallel sweep
+  produces byte-identical tables to a serial one at the same seed.
+
+The engine drives any cell that supplies ``fingerprint()``;
+``execute(use_cache)``, the JSON-safe payload a worker ships and the
+journal holds; ``decode(payload)`` and ``validate(results, context)``,
+which turn a payload into checked results; and ``load(store, fp)`` and
+``save(store, fp, results)``, its result-store entry.  :class:`Cell`,
+:class:`~repro.cluster.sweep.ClusterCell` and
+:class:`~repro.core.experiments.figure8_faults.FaultCell` do;
+``kind:name`` labels a cell in failure messages.
 
 The fingerprint functions deliberately import nothing from the runner:
-``runner.py`` imports them at module load, while this module reaches
-back into the runner lazily inside the execution helpers.
+``runner.py`` imports them at module load, while the cell methods reach
+back into the runner lazily.
 """
 
 from __future__ import annotations
@@ -35,8 +44,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, fields, is_dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Sequence
 
+from repro.core.validate import ValidationError, validate_runs
 from repro.trace.codec import TRACE_SCHEMA
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -153,40 +164,51 @@ class Cell:
             kind = f"chip{self.num_cores}x{self.segments}"
         return config_fingerprint(kind, self.name, self.config)
 
+    def execute(self, use_cache: bool = True) -> list[dict]:
+        """One ``run_to_dict`` payload per run (1+ for groups): name,
+        config and counters, never the live ``app``."""
+        from repro.core import runner
+        from repro.core.store import run_to_dict
 
-def _execute_cell(cell: Cell, use_cache: bool = True) -> list["WorkloadRun"]:
-    """Run one cell in-process and return its runs (1+ for groups)."""
-    from repro.core import runner
+        if self.kind in ("single", "smt"):
+            measure = runner.run_workload if self.kind == "single" \
+                else runner.run_workload_smt
+            runs = [measure(self.name, self.config, use_cache)]
+        elif self.kind in ("members", "smt-members"):
+            runs = runner.run_workload_members(
+                self.name, self.config, smt=self.kind == "smt-members",
+                use_cache=use_cache)
+        else:
+            chip = runner.run_workload_chip(
+                self.name, self.config, num_cores=self.num_cores,
+                segments=self.segments, use_cache=use_cache)
+            runs = [runner.WorkloadRun(self.name, chip.config, chip.summed,
+                                       chip.app)]
+        return [run_to_dict(run) for run in runs]
 
-    if cell.kind == "single":
-        return [runner.run_workload(cell.name, cell.config, use_cache)]
-    if cell.kind == "smt":
-        return [runner.run_workload_smt(cell.name, cell.config, use_cache)]
-    if cell.kind == "members":
-        return runner.run_workload_members(cell.name, cell.config,
-                                           use_cache=use_cache)
-    if cell.kind == "smt-members":
-        return runner.run_workload_members(cell.name, cell.config, smt=True,
-                                           use_cache=use_cache)
-    chip_run = runner.run_workload_chip(
-        cell.name, cell.config, num_cores=cell.num_cores,
-        segments=cell.segments, use_cache=use_cache,
-    )
-    return [runner.WorkloadRun(cell.name, chip_run.config,
-                               chip_run.summed, chip_run.app)]
+    def decode(self, payload: list) -> list["WorkloadRun"]:
+        """The runs of an :meth:`execute` payload (``app`` is None)."""
+        from repro.core.store import run_from_dict
+
+        return [run_from_dict(entry) for entry in payload]
+
+    def validate(self, runs: list["WorkloadRun"], context: str) -> None:
+        validate_runs(runs, context=context)
+
+    def load(self, store: "ResultStore",
+             fingerprint: str) -> "list[WorkloadRun] | None":
+        return store.get(fingerprint)
+
+    def save(self, store: "ResultStore", fingerprint: str,
+             runs: list["WorkloadRun"]) -> None:
+        store.put(fingerprint, runs, validate=False)
 
 
-def _cell_worker(task: tuple[Cell, bool]) -> list[dict]:
-    """Pool worker: execute a cell, return JSON-safe run payloads.
-
-    ``WorkloadRun.app`` holds live simulator state (generators, open
-    traces) that must not cross a process boundary; the payload carries
-    only what the figures consume — name, config, and counters.
-    """
-    from repro.core.store import run_to_dict
-
+def _cell_worker(task: tuple) -> list:
+    """The default worker, in a pool process and serially alike:
+    ``(cell, use_cache)`` in, the cell's JSON-safe payload out."""
     cell, use_cache = task
-    return [run_to_dict(run) for run in _execute_cell(cell, use_cache)]
+    return cell.execute(use_cache)
 
 
 class SweepEngine:
@@ -206,9 +228,9 @@ class SweepEngine:
     ``resume``          trust an existing journal for this cell set and
                         rerun only the cells it is missing (otherwise a
                         stale journal is discarded).
-    ``worker``          the picklable pool entry point; the default
-                        executes cells for real — tests substitute
-                        fault-injecting wrappers.
+    ``worker``          ``(cell, use_cache)`` -> payload, called in pool
+                        processes and serially alike; the default
+                        executes cells — tests inject faulty ones.
 
     Parallel cells are individually supervised futures: a worker death
     (SIGKILL, OOM, segfault) or a cell overrunning ``retry.timeout``
@@ -218,9 +240,10 @@ class SweepEngine:
     a :class:`~repro.core.supervise.SweepCellError` once the rest of
     the sweep is done.
 
-    ``run`` returns one ``list[WorkloadRun]`` per cell, *in cell
-    order*; parallel completion order never leaks into results, so
-    tables built from them are byte-identical to a serial sweep.
+    ``run`` returns each cell's decoded results (a ``list[WorkloadRun]``
+    for a :class:`Cell`), *in cell order*; parallel completion order
+    never leaks into results, so tables built from them are
+    byte-identical to a serial sweep.
     """
 
     def __init__(self, jobs: int = 1, use_cache: bool = True,
@@ -241,111 +264,80 @@ class SweepEngine:
         self.resume = resume
         self.worker = worker if worker is not None else _cell_worker
 
-    def run(self, cells: Sequence[Cell]) -> list[list["WorkloadRun"]]:
-        from repro.core.store import run_to_dict
+    def run(self, cells: Sequence) -> list[list]:
         from repro.core.supervise import (SweepCellError, SweepCheckpoint,
                                           SweepSupervisor, run_serial)
-        from repro.core.validate import validate_runs
+        from repro.trace.pipeline import materialize_cells
 
         fingerprints = [cell.fingerprint() for cell in cells]
         checkpoint = None
         if self.checkpoint_dir is not None:
             checkpoint = SweepCheckpoint(self.checkpoint_dir, fingerprints,
                                          resume=self.resume)
-        results: list[list["WorkloadRun"] | None] = [None] * len(cells)
-        pending: list[tuple[int, Cell, str]] = []
+        store = self.store if self.use_cache else None
+        results: list[list | None] = [None] * len(cells)
+
+        def admit(index: int, cell, fingerprint: str, payload: list,
+                  journal: bool) -> None:
+            # Gatekeeper for every payload, fresh or journaled: an
+            # undecodable or implausible one raises ValidationError
+            # here, which the supervisor treats as a cell failure
+            # (retried, then reported) — it never reaches the store,
+            # the journal, or a figure.
+            context = f"cell {cell.kind}:{cell.name}"
+            try:
+                checked = cell.decode(payload)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValidationError(
+                    context, [f"undecodable payload: {exc}"]) from exc
+            cell.validate(checked, context)
+            if journal and checkpoint is not None:
+                checkpoint.put(fingerprint, payload)
+            if store is not None:
+                cell.save(store, fingerprint, checked)
+            results[index] = checked
+
+        accept = partial(admit, journal=True)
+        pending: list[tuple[int, object, str]] = []
         for index, (cell, fingerprint) in enumerate(zip(cells, fingerprints)):
-            hit = None
-            if self.store is not None and self.use_cache:
-                hit = self.store.get(fingerprint)
-            if hit is None and checkpoint is not None:
-                hit = self._from_checkpoint(checkpoint, cell, fingerprint)
+            hit = cell.load(store, fingerprint) if store is not None else None
             if hit is not None:
                 results[index] = hit
-            else:
-                pending.append((index, cell, fingerprint))
-
-        def accept(index: int, cell: Cell, fingerprint: str,
-                   runs: list["WorkloadRun"]) -> None:
-            # Gatekeeper for every fresh result: an implausible run
-            # raises ValidationError here, which the supervisor treats
-            # as a cell failure (retried, then reported) — it never
-            # reaches the store, the journal, or a figure.
-            validate_runs(runs, context=f"cell {cell.kind}:{cell.name}")
-            if checkpoint is not None:
-                checkpoint.put(fingerprint, [run_to_dict(r) for r in runs])
-            if self.store is not None and self.use_cache:
-                self.store.put(fingerprint, runs, validate=False)
-            results[index] = runs
+                continue
+            journaled = None if checkpoint is None \
+                else checkpoint.get(fingerprint)
+            if journaled is not None:
+                try:
+                    admit(index, cell, fingerprint, journaled, journal=False)
+                    continue
+                except ValidationError:
+                    pass  # torn or stale journal entry: recompute
+            pending.append((index, cell, fingerprint))
 
         failures: list[dict] = []
         if pending:
-            self._materialize_traces([cell for _, cell, _ in pending])
+            # Capture each distinct trace the pending cells replay, once,
+            # before they fan out: serial cells hit the in-process memo,
+            # pool workers the on-disk trace store.  Uncached pool
+            # workers cannot see parent captures, so they capture for
+            # themselves.  Fleet and Figure 8 cells replay no trace.
+            if self.use_cache or self.jobs == 1:
+                materialize_cells([cell for _, cell, _ in pending],
+                                  use_store=self.use_cache)
             if self.jobs > 1 and len(pending) > 1:
                 supervisor = SweepSupervisor(self.worker, self.jobs,
                                              self.retry,
                                              use_cache=self.use_cache)
-                failures = supervisor.run(pending, self._payload_acceptor(accept))
+                failures = supervisor.run(pending, accept)
             else:
                 failures = run_serial(
-                    pending, lambda cell: _execute_cell(cell, self.use_cache),
+                    pending, lambda cell: self.worker((cell, self.use_cache)),
                     self.retry, accept)
         if failures:
             raise SweepCellError(failures)
         if checkpoint is not None:
             checkpoint.complete()
         return results  # type: ignore[return-value]
-
-    def _materialize_traces(self, cells: Sequence[Cell]) -> None:
-        """Capture each distinct trace the pending cells replay, once.
-
-        Runs in the parent before cells fan out, so a sweep performs
-        O(traces) captures instead of O(cells): serial cells hit the
-        in-process memo, pool workers hit the on-disk trace store.
-        With ``use_cache`` off the store is skipped in both directions,
-        so parallel uncached workers capture for themselves — only the
-        parent-side memo sharing is lost.
-        """
-        from repro.trace.pipeline import materialize_cells
-
-        if self.jobs > 1 and not self.use_cache:
-            return  # nothing can carry parent captures to the workers
-        materialize_cells(cells, use_store=self.use_cache)
-
-    @staticmethod
-    def _payload_acceptor(accept):
-        """Wrap ``accept`` to decode pool-worker payloads first; an
-        undecodable payload counts as a validation failure (retried)."""
-        from repro.core.store import run_from_dict
-        from repro.core.validate import ValidationError
-
-        def on_payload(index, cell, fingerprint, payload):
-            try:
-                runs = [run_from_dict(entry) for entry in payload]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValidationError(
-                    f"cell {cell.kind}:{cell.name}",
-                    [f"undecodable worker payload: {exc}"]) from exc
-            accept(index, cell, fingerprint, runs)
-        return on_payload
-
-    def _from_checkpoint(self, checkpoint, cell: Cell,
-                         fingerprint: str) -> "list[WorkloadRun] | None":
-        """A journaled cell's runs, re-validated; None reruns the cell."""
-        from repro.core.store import run_from_dict
-        from repro.core.validate import ValidationError, validate_runs
-
-        payload = checkpoint.get(fingerprint)
-        if payload is None:
-            return None
-        try:
-            runs = [run_from_dict(entry) for entry in payload]
-            validate_runs(runs, context=f"checkpoint {cell.kind}:{cell.name}")
-        except (KeyError, TypeError, ValueError, ValidationError):
-            return None  # torn or stale journal entry: recompute
-        if self.store is not None and self.use_cache:
-            self.store.put(fingerprint, runs, validate=False)
-        return runs
 
     def run_flat(self, cells: Sequence[Cell]) -> list["WorkloadRun"]:
         """Like :meth:`run` for single-run cells: one run per cell."""

@@ -33,6 +33,7 @@ and chip-summed configurations:
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 from typing import Sequence
 
@@ -48,6 +49,8 @@ __all__ = [
     "validate_cluster_summaries",
     "check_cost_model",
     "validate_cost_model",
+    "check_fault_row",
+    "validate_fault_rows",
 ]
 
 #: ``(os_counter, total_counter)`` pairs: OS activity is a subset.
@@ -317,3 +320,40 @@ def validate_cost_model(doc: dict, context: str = "cost model") -> None:
     violations = check_cost_model(doc)
     if violations:
         raise ValidationError(context, violations)
+
+
+#: The fields of one Figure 8 row (see ``figure8_faults._measure_cell``).
+_FAULT_ROW_FIELDS = ("ipc", "l1i_mpki", "l2i_mpki", "code_kb", "goodput",
+                     "retry_rate", "p99", "faults_fired")
+
+
+def check_fault_row(row: dict) -> list[str]:
+    """Every violated invariant in one Figure 8 (workload, mode) row:
+    every field is a finite number, IPC is positive, goodput lies in
+    [0, 1], and p99 and the fired-fault count are non-negative ints."""
+    if not isinstance(row, dict):
+        return [f"row is not an object: {row!r}"]
+    violations = [f"{key} is not a finite number: {row.get(key)!r}"
+                  for key in _FAULT_ROW_FIELDS
+                  if isinstance(row.get(key), bool)
+                  or not isinstance(row.get(key), (int, float))
+                  or not math.isfinite(row[key])]
+    if violations:
+        return violations  # the comparisons below assume numbers
+    if row["ipc"] <= 0:
+        violations.append(f"ipc must be positive ({row['ipc']})")
+    if not 0.0 <= row["goodput"] <= 1.0:
+        violations.append(f"goodput must be in [0, 1]: {row['goodput']}")
+    violations.extend(f"{key} must be a non-negative integer: {row[key]!r}"
+                      for key in ("p99", "faults_fired")
+                      if not isinstance(row[key], int) or row[key] < 0)
+    return violations
+
+
+def validate_fault_rows(rows: Sequence[dict],
+                        context: str = "faults") -> None:
+    """Raise :class:`ValidationError` on any implausible Figure 8 row."""
+    for index, row in enumerate(rows):
+        violations = check_fault_row(row)
+        if violations:
+            raise ValidationError(f"{context}: row {index}", violations)

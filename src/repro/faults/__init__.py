@@ -18,17 +18,17 @@ healthy pipelines:
   backoff with bounded jitter, timeouts, and request hedging;
 * :mod:`repro.faults.metrics` — :class:`ServiceMetrics`, the
   service-level accumulator (goodput, retry rate, latency percentiles);
-* :mod:`repro.faults.watchdog` — the runaway-trace budget guard;
-* :mod:`repro.faults.manifest` — :class:`SweepManifest`, the crash-safe
-  checkpoint layer multi-cell sweeps resume from (atomic writes via
-  :mod:`repro.blobstore`).
+* :mod:`repro.faults.watchdog` — the runaway-trace budget guard.
+
+The degraded-mode table itself (Figure 8) runs on the shared sweep
+engine, with its store, journal and validation gate; see
+:mod:`repro.core.experiments.figure8_faults`.
 
 See ``docs/resilience.md`` for the fault model and how degraded paths
 extend the paper's Figure 1/Figure 2 arguments.
 """
 
 from repro.faults.injector import FaultInjector
-from repro.faults.manifest import SweepManifest
 from repro.faults.metrics import ServiceMetrics
 from repro.faults.plan import FAULT_KINDS, FaultEvent, FaultPlan
 from repro.faults.retry import RetryPolicy
@@ -43,5 +43,4 @@ __all__ = [
     "ServiceMetrics",
     "RunawayTraceError",
     "guard_trace",
-    "SweepManifest",
 ]

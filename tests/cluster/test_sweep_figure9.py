@@ -1,7 +1,7 @@
 """Figure 9 on the sweep rails: caching, checkpoints, validation.
 
-The fleet cells ride the same supervision machinery as the
-microarchitectural figures, so the same guarantees are asserted here:
+Fleet cells run on the one sweep engine, so the same guarantees are
+asserted here (and, kind by kind, in ``tests/core/test_cell_kinds.py``):
 ``--jobs N`` byte-identical to serial, results cached and re-served
 from the store, interrupted sweeps resumable from the checkpoint
 journal, and every summary validation-gated before it is accepted.
@@ -19,6 +19,7 @@ from repro.core.experiments import figure9_cluster
 from repro.core.runner import RunConfig
 from repro.core.store import ResultStore
 from repro.core.supervise import SweepCellError
+from repro.core.sweep import SweepEngine, _cell_worker
 from repro.core.validate import (ValidationError, check_cluster_summary,
                                  validate_cluster_summaries)
 from repro.faults.retry import RetryPolicy
@@ -104,9 +105,9 @@ class TestFigureGrid:
 class TestClusterEngine:
     def test_serial_and_parallel_runs_are_byte_identical(self):
         serial = figure9_cluster.run(TINY, fleets=[2],
-                                     engine=ClusterSweepEngine(jobs=1))
+                                     engine=SweepEngine(jobs=1))
         parallel = figure9_cluster.run(TINY, fleets=[2],
-                                       engine=ClusterSweepEngine(jobs=2))
+                                       engine=SweepEngine(jobs=2))
         assert serial.to_text() == parallel.to_text()
 
     def test_store_round_trip(self, tmp_path):
@@ -126,19 +127,17 @@ class TestClusterEngine:
     def test_cached_cells_are_served_without_reexecution(self, tmp_path):
         cells = _tiny_cells()[:2]
         store = ResultStore(tmp_path)
-        first = ClusterSweepEngine(store=store).run(cells)
+        first = SweepEngine(store=store).run(cells)
 
         def bomb(task):
             raise AssertionError("cache miss: cell was re-executed")
 
-        again = ClusterSweepEngine(
+        again = SweepEngine(
             store=store, worker=bomb,
             retry=RetryPolicy.for_harness(retries=0)).run(cells)
         assert again == first
 
     def test_checkpoint_resume_recomputes_only_missing(self, tmp_path):
-        from repro.cluster.sweep import _cluster_cell_worker
-
         cells = _tiny_cells()[:3]
         poison = cells[1].name
 
@@ -146,9 +145,9 @@ class TestClusterEngine:
             cell, _ = task
             if cell.name == poison:
                 raise RuntimeError("injected crash")
-            return _cluster_cell_worker(task)
+            return _cell_worker(task)
 
-        engine = ClusterSweepEngine(
+        engine = SweepEngine(
             checkpoint_dir=tmp_path, worker=flaky,
             retry=RetryPolicy.for_harness(retries=0))
         with pytest.raises(SweepCellError, match="injected crash"):
@@ -158,14 +157,13 @@ class TestClusterEngine:
 
         def counting(task):
             executed.append(task[0].name)
-            return _cluster_cell_worker(task)
+            return _cell_worker(task)
 
-        resumed = ClusterSweepEngine(
+        resumed = SweepEngine(
             checkpoint_dir=tmp_path, resume=True, worker=counting,
             retry=RetryPolicy.for_harness(retries=0)).run(cells)
         assert executed == [poison]  # the two journaled cells replayed
-        reference = ClusterSweepEngine().run(cells)
-        assert resumed == reference
+        assert resumed == SweepEngine().run(cells)
 
     def test_invalid_payload_fails_the_cell(self):
         cells = _tiny_cells()[:1]
@@ -173,14 +171,25 @@ class TestClusterEngine:
         def liar(task):
             return [{"requests": 1}]  # missing every other counter
 
-        engine = ClusterSweepEngine(
+        engine = SweepEngine(
             worker=liar, retry=RetryPolicy.for_harness(retries=0))
-        with pytest.raises(SweepCellError):
+        with pytest.raises(SweepCellError, match="p999 is not an integer"):
             engine.run(cells)
 
     def test_jobs_must_be_positive(self):
         with pytest.raises(ValueError, match="jobs"):
             ClusterSweepEngine(jobs=0)
+
+    def test_old_engine_name_binds_its_own_run(self):
+        """``ClusterSweepEngine`` stays constructible with its old
+        keywords, and binds ``run`` in its own namespace, so wrapping
+        ``SweepEngine.run`` and ``ClusterSweepEngine.run`` as two
+        sites never wraps one function twice."""
+        engine = ClusterSweepEngine(jobs=1, use_cache=False, store=None,
+                                    retry=None, checkpoint_dir=None,
+                                    resume=False, worker=None)
+        assert isinstance(engine, SweepEngine)
+        assert ClusterSweepEngine.__dict__["run"] is SweepEngine.run
 
 
 # -- measured service costs ------------------------------------------------
@@ -196,9 +205,9 @@ class TestMeasuredCosts:
     def test_measured_serial_and_parallel_are_byte_identical(self):
         model = self._model()
         serial = figure9_cluster.run(TINY, fleets=[2], costs="measured",
-                                     engine=ClusterSweepEngine(jobs=1))
+                                     engine=SweepEngine(jobs=1))
         parallel = figure9_cluster.run(TINY, fleets=[2], costs="measured",
-                                       engine=ClusterSweepEngine(jobs=2))
+                                       engine=SweepEngine(jobs=2))
         assert serial.to_text() == parallel.to_text()
         assert model.source == "measured"
 
@@ -211,8 +220,6 @@ class TestMeasuredCosts:
         recompute only the missing cell and render identically to an
         uninterrupted run.
         """
-        from repro.cluster.sweep import _cluster_cell_worker
-
         model = self._model()
         cells = figure9_cluster.build_cells(
             TINY, fleets=[2], costs="measured", cost_model=model)[:3]
@@ -222,17 +229,17 @@ class TestMeasuredCosts:
             cell, _ = task
             if cell.name == poison:
                 raise RuntimeError("injected crash")
-            return _cluster_cell_worker(task)
+            return _cell_worker(task)
 
-        engine = ClusterSweepEngine(
+        engine = SweepEngine(
             checkpoint_dir=tmp_path, worker=flaky,
             retry=RetryPolicy.for_harness(retries=0))
         with pytest.raises(SweepCellError, match="injected crash"):
             engine.run(cells)
-        resumed = ClusterSweepEngine(
+        resumed = SweepEngine(
             checkpoint_dir=tmp_path, resume=True,
             retry=RetryPolicy.for_harness(retries=0)).run(cells)
-        assert resumed == ClusterSweepEngine().run(cells)
+        assert resumed == SweepEngine().run(cells)
 
     def test_measured_differs_from_static_in_the_rendered_table(self):
         static = figure9_cluster.run(TINY, fleets=[2], costs="static")
@@ -260,19 +267,19 @@ class TestMeasuredCosts:
             assert cell_a.fingerprint() != cell_b.fingerprint()
 
         store = ResultStore(tmp_path)
-        primed = ClusterSweepEngine(store=store).run(cells_a)
+        primed = SweepEngine(store=store).run(cells_a)
 
         def bomb(task):
             raise AssertionError("cache miss: cell was re-executed")
 
-        served = ClusterSweepEngine(
+        served = SweepEngine(
             store=store, worker=bomb,
             retry=RetryPolicy.for_harness(retries=0)).run(cells_a)
         assert served == primed  # same params: cache hit, bomb unexercised
         with pytest.raises(SweepCellError):
-            ClusterSweepEngine(store=store, worker=bomb,
-                               retry=RetryPolicy.for_harness(retries=0)
-                               ).run(cells_b)
+            SweepEngine(store=store, worker=bomb,
+                        retry=RetryPolicy.for_harness(retries=0)
+                        ).run(cells_b)
 
     def test_static_cells_reject_an_attached_model(self):
         with pytest.raises(ValueError, match="takes no cost_model"):

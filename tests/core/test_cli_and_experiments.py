@@ -14,7 +14,6 @@ class TestCliParsing:
         assert config.window_uops == 80_000
         assert config.warm_uops == 80_000 // 3
         assert not options.bars
-        assert not options.fresh
         assert options.jobs == 1
         assert not options.no_cache
 
@@ -26,14 +25,16 @@ class TestCliParsing:
         assert config.window_uops == 5000
         assert config.warm_uops == 1000
         assert options.bars
-        assert not options.fresh
 
     def test_seed_and_fresh_flags(self):
-        args, config, options = _parse_config(
-            ["faults", "--seed", "11", "--fresh"])
+        args, config, _options = _parse_config(["faults", "--seed", "11"])
         assert args == ["faults"]
         assert config.seed == 11
-        assert options.fresh
+        # --fresh is gone: faults discards a stale journal unless
+        # --resume, like every other sweep.
+        with pytest.raises(SystemExit) as exc:
+            _parse_config(["faults", "--fresh"])
+        assert exc.value.code == 2
 
     def test_jobs_and_no_cache_flags(self):
         args, _config, options = _parse_config(

@@ -14,7 +14,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core import sweep as sweep_mod
 from repro.core.runner import RunConfig, run_workload
 from repro.core.store import (
     SCHEMA_VERSION,
@@ -225,16 +224,17 @@ class TestDoctor:
 
 
 class TestIncrementalSweeps:
-    def test_second_engine_run_hits_the_store(self, tmp_path, monkeypatch):
+    def test_second_engine_run_hits_the_store(self, tmp_path):
         cells = [Cell("single", "sat-solver", WEE),
                  Cell("members", "parsec-cpu", WEE)]
         first = SweepEngine(store=ResultStore(tmp_path)).run(cells)
 
-        def explode(cell, use_cache=True):
+        def explode(task):
+            cell, _use_cache = task
             raise AssertionError(f"store miss: {cell.kind}:{cell.name}")
 
-        monkeypatch.setattr(sweep_mod, "_execute_cell", explode)
-        second = SweepEngine(store=ResultStore(tmp_path)).run(cells)
+        second = SweepEngine(store=ResultStore(tmp_path),
+                             worker=explode).run(cells)
         for first_runs, second_runs in zip(first, second):
             for a, b in zip(first_runs, second_runs):
                 assert a.result == b.result

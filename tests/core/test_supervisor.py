@@ -18,7 +18,6 @@ import time
 
 import pytest
 
-from repro.core import sweep as sweep_mod
 from repro.core.runner import RunConfig
 from repro.core.store import ResultStore
 from repro.core.supervise import (
@@ -163,43 +162,54 @@ class TestCrashIsolation:
 
 
 class TestSerialSupervision:
-    def test_transient_serial_failure_is_retried(self, monkeypatch,
-                                                 serial_reference):
-        real = sweep_mod._execute_cell
+    """The serial path calls ``worker`` in-process, so plain closures
+    stand in for the flag-file workers here."""
+
+    def test_transient_serial_failure_is_retried(self, serial_reference):
         calls = {"failures": 0}
 
-        def flaky(cell, use_cache=True):
-            if cell.name == NAMES[0] and calls["failures"] == 0:
+        def flaky(task):
+            if task[0].name == NAMES[0] and calls["failures"] == 0:
                 calls["failures"] += 1
                 raise RuntimeError("transient")
-            return real(cell, use_cache)
+            return _cell_worker(task)
 
-        monkeypatch.setattr(sweep_mod, "_execute_cell", flaky)
-        engine = SweepEngine(jobs=1, use_cache=False, retry=FAST)
+        engine = SweepEngine(jobs=1, use_cache=False, retry=FAST,
+                             worker=flaky)
         _assert_tables_identical(engine.run(_cells()), serial_reference)
         assert calls["failures"] == 1
 
-    def test_permanent_serial_failure_raises_sweep_cell_error(
-            self, monkeypatch):
-        def doomed(cell, use_cache=True):
+    def test_permanent_serial_failure_raises_sweep_cell_error(self):
+        def doomed(task):
             raise RuntimeError("permanent")
 
-        monkeypatch.setattr(sweep_mod, "_execute_cell", doomed)
         policy = RetryPolicy.for_harness(retries=1, base_delay=0.01,
                                          cap_delay=0.01)
         with pytest.raises(SweepCellError) as exc:
-            SweepEngine(jobs=1, use_cache=False, retry=policy).run(_cells())
+            SweepEngine(jobs=1, use_cache=False, retry=policy,
+                        worker=doomed).run(_cells())
         # Every cell failed independently; each was attempted twice.
         assert len(exc.value.failures) == len(NAMES)
         assert all(f["attempts"] == 2 for f in exc.value.failures)
 
-    def test_run_flat_names_the_cell_that_produced_no_runs(
-            self, monkeypatch):
-        monkeypatch.setattr(sweep_mod, "_execute_cell",
-                            lambda cell, use_cache=True: [])
-        engine = SweepEngine(jobs=1, use_cache=False, retry=FAST)
+    def test_run_flat_names_the_cell_that_produced_no_runs(self):
+        engine = SweepEngine(jobs=1, use_cache=False, retry=FAST,
+                             worker=lambda task: [])
         with pytest.raises(ValueError, match="single:sat-solver"):
             engine.run_flat([Cell("single", "sat-solver", WEE)])
+
+    def test_jobs2_with_one_pending_cell_still_calls_the_worker(self):
+        """A single pending cell runs serially even under ``jobs=2``,
+        and the serial path goes through ``worker`` all the same."""
+        executed = []
+
+        def recording(task):
+            executed.append(task[0].name)
+            return _cell_worker(task)
+
+        SweepEngine(jobs=2, use_cache=False, worker=recording).run(
+            [Cell("single", NAMES[0], WEE)])
+        assert executed == [NAMES[0]]
 
 
 class TestCheckpointResume:
@@ -284,21 +294,22 @@ class TestCheckpointResume:
 
 
 class TestValidationGate:
-    def test_invalid_worker_payload_is_retried_then_reported(
-            self, monkeypatch):
+    def test_invalid_worker_payload_is_retried_then_reported(self):
         """A worker shipping implausible counters must never land in
         the results; the supervisor retries, then reports the cell."""
-        _real = sweep_mod._execute_cell
+        attempts = []
 
-        def corrupting(cell, use_cache=True):
-            runs = _real(cell, use_cache)
-            runs[0].result.cycles = -1
-            return runs
+        def corrupting(task):
+            attempts.append(task[0].name)
+            payload = _cell_worker(task)
+            payload[0]["result"]["cycles"] = -1
+            return payload
 
-        monkeypatch.setattr(sweep_mod, "_execute_cell", corrupting)
         policy = RetryPolicy.for_harness(retries=1, base_delay=0.01,
                                          cap_delay=0.01)
         with pytest.raises(SweepCellError) as exc:
-            SweepEngine(jobs=1, use_cache=False, retry=policy).run(
+            SweepEngine(jobs=1, use_cache=False, retry=policy,
+                        worker=corrupting).run(
                 [Cell("single", NAMES[0], WEE)])
         assert "negative" in str(exc.value)
+        assert attempts == [NAMES[0]] * 2

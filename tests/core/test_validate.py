@@ -9,7 +9,9 @@ import pytest
 from repro.core.runner import RunConfig, run_workload
 from repro.core.validate import (
     ValidationError,
+    check_fault_row,
     check_result,
+    validate_fault_rows,
     validate_result,
     validate_runs,
 )
@@ -118,3 +120,39 @@ class TestValidationError:
 
     def test_is_a_value_error(self):
         assert issubclass(ValidationError, ValueError)
+
+
+#: A plausible Figure 8 row (the data-serving degraded row at 8k uops).
+ROW = {"ipc": 0.294, "l1i_mpki": 57.26, "l2i_mpki": 27.8, "code_kb": 2036.0,
+       "goodput": 1.0, "retry_rate": 0.286, "p99": 6404, "faults_fired": 3}
+
+
+class TestFaultRows:
+    def test_plausible_row_passes(self):
+        assert check_fault_row(dict(ROW)) == []
+        validate_fault_rows([dict(ROW)], context="cell x")
+
+    @pytest.mark.parametrize("edit, fragment", [
+        ({"ipc": float("nan")}, "ipc is not a finite number"),
+        ({"l1i_mpki": float("inf")}, "l1i_mpki is not a finite number"),
+        ({"retry_rate": True}, "retry_rate is not a finite number"),
+        ({"code_kb": "1428"}, "code_kb is not a finite number"),
+        ({"ipc": 0.0}, "ipc must be positive"),
+        ({"goodput": 3.0}, "goodput must be in [0, 1]"),
+        ({"p99": -1}, "p99 must be a non-negative integer"),
+        ({"faults_fired": 2.5}, "faults_fired must be a non-negative"),
+    ])
+    def test_each_invariant_is_checked(self, edit, fragment):
+        violations = check_fault_row(dict(ROW, **edit))
+        assert any(fragment in violation for violation in violations)
+
+    def test_missing_field_and_non_object_rows(self):
+        row = dict(ROW)
+        del row["p99"]
+        assert check_fault_row(row) == ["p99 is not a finite number: None"]
+        assert check_fault_row([1]) == ["row is not an object: [1]"]
+
+    def test_validate_names_the_row_and_context(self):
+        with pytest.raises(ValidationError, match="cell x: row 1"):
+            validate_fault_rows([dict(ROW), dict(ROW, ipc=-7.5)],
+                                context="cell x")

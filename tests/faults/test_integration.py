@@ -6,8 +6,11 @@ no-op contract for empty plans, plus the degraded-mode acceptance
 shape the Figure 8 extension reports.
 """
 
+import json
+
 import pytest
 
+from repro.__main__ import main
 from repro.core.experiments import figure8_faults
 from repro.core.runner import (
     RunConfig,
@@ -15,9 +18,13 @@ from repro.core.runner import (
     run_workload_chip,
     run_workload_smt,
 )
+from repro.core.store import ResultStore
+from repro.core.supervise import SweepCellError
+from repro.core.sweep import SweepEngine, _cell_worker
 from repro.core.workloads import build_app
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
+from repro.faults.retry import RetryPolicy
 
 FAULTED = RunConfig(window_uops=8_000, warm_uops=3_000, seed=7,
                     fault_plan=FaultPlan.degraded(seed=7))
@@ -122,9 +129,12 @@ class TestDegradedModeAcceptance:
 
 
 class TestFigure8:
+    """Figure 8 rows are ``FaultCell`` s on the one sweep engine; the
+    cell-kind matrix (``tests/core/test_cell_kinds.py``) covers the
+    engine's guarantees for them, these tests the table and the CLI."""
+
     def test_table_shape_without_a_manifest(self):
-        table = figure8_faults.run(HEALTHY, workloads=["data-serving"],
-                                   manifest_path=None)
+        table = figure8_faults.run(HEALTHY, workloads=["data-serving"])
         assert [row["Mode"] for row in table.rows] == ["healthy", "degraded"]
         assert figure8_faults.mpki_delta(table, "Data Serving") > 0.0
         with pytest.raises(KeyError):
@@ -132,56 +142,100 @@ class TestFigure8:
 
     def test_rejects_unknown_workloads(self):
         with pytest.raises(KeyError):
-            figure8_faults.run(HEALTHY, workloads=["bogus"],
-                               manifest_path=None)
+            figure8_faults.run(HEALTHY, workloads=["bogus"])
 
-    def test_resume_skips_completed_cells(self, tmp_path, monkeypatch):
-        path = tmp_path / "figure8.json"
-        first = figure8_faults.run(HEALTHY, workloads=["data-serving"],
-                                   manifest_path=path)
-        assert path.exists()
+    def test_resume_skips_completed_cells(self, tmp_path):
+        """A sweep killed on its degraded cell resumes by measuring only
+        that cell, and renders the uninterrupted table."""
+        reference = figure8_faults.run(HEALTHY, workloads=["data-serving"])
+        no_retry = RetryPolicy.for_harness(retries=0)
 
-        def boom(name, config):
-            raise AssertionError("completed cells must not recompute")
+        def dies_on_degraded(task):
+            if task[0].mode == "degraded":
+                raise RuntimeError("killed mid-sweep")
+            return _cell_worker(task)
 
-        monkeypatch.setattr(figure8_faults, "_measure_cell", boom)
-        second = figure8_faults.run(HEALTHY, workloads=["data-serving"],
-                                    manifest_path=path)
-        assert second.to_text() == first.to_text()
-
-    def test_partial_manifest_computes_only_missing_cells(
-            self, tmp_path, monkeypatch):
-        path = tmp_path / "figure8.json"
-        figure8_faults.run(HEALTHY, workloads=["data-serving"],
-                           manifest_path=path)
-
+        with pytest.raises(SweepCellError, match="faults-degraded"):
+            figure8_faults.run(HEALTHY, workloads=["data-serving"],
+                               engine=SweepEngine(
+                                   checkpoint_dir=tmp_path, retry=no_retry,
+                                   worker=dies_on_degraded))
         computed = []
-        real = figure8_faults._measure_cell
 
-        def counting(name, config):
-            computed.append((name, config.fault_plan is not None))
-            return real(name, config)
+        def counting(task):
+            computed.append(task[0].mode)
+            return _cell_worker(task)
 
-        monkeypatch.setattr(figure8_faults, "_measure_cell", counting)
-        table = figure8_faults.run(HEALTHY,
-                                   workloads=["data-serving", "web-search"],
-                                   manifest_path=path)
-        assert computed == [("web-search", False), ("web-search", True)]
+        resumed = figure8_faults.run(
+            HEALTHY, workloads=["data-serving"], engine=SweepEngine(
+                checkpoint_dir=tmp_path, resume=True, retry=no_retry,
+                worker=counting))
+        assert computed == ["degraded"]
+        assert resumed.to_text() == reference.to_text()
+
+    def test_partial_store_computes_only_missing_cells(self, tmp_path):
+        store = ResultStore(tmp_path)
+        figure8_faults.run(HEALTHY, workloads=["data-serving"],
+                           engine=SweepEngine(store=store))
+        computed = []
+
+        def counting(task):
+            computed.append((task[0].name, task[0].mode))
+            return _cell_worker(task)
+
+        table = figure8_faults.run(
+            HEALTHY, workloads=["data-serving", "web-search"],
+            engine=SweepEngine(store=store, worker=counting))
+        assert computed == [("web-search", "healthy"),
+                            ("web-search", "degraded")]
         assert len(table.rows) == 4
 
-    def test_fresh_discards_the_manifest(self, tmp_path, monkeypatch):
-        path = tmp_path / "figure8.json"
-        figure8_faults.run(HEALTHY, workloads=["data-serving"],
-                           manifest_path=path)
+    def test_poisoned_row_in_the_store_is_quarantined_and_recomputed(
+            self, tmp_path):
+        store = ResultStore(tmp_path)
+        reference = figure8_faults.run(HEALTHY, workloads=["data-serving"],
+                                       engine=SweepEngine(store=store))
+        cell = figure8_faults.cells(HEALTHY, ["data-serving"])[1]
+        path = store.path_for(cell.fingerprint())
+        document = json.loads(path.read_bytes())
+        document["faults"][0].update(ipc=-7.5, goodput=3.0)
+        path.write_text(json.dumps(document))
 
-        computed = []
-        real = figure8_faults._measure_cell
+        rerun = figure8_faults.run(HEALTHY, workloads=["data-serving"],
+                                   engine=SweepEngine(store=store))
+        assert rerun.to_text() == reference.to_text()
+        assert "-7.5" not in rerun.to_text()
+        reason = store.corrupt_directory / f"{cell.fingerprint()}.reason"
+        assert "ipc must be positive" in reason.read_text()
 
-        def counting(name, config):
-            computed.append(name)
-            return real(name, config)
+    def test_no_cache_never_reads_the_store(self, tmp_path, monkeypatch,
+                                            capsys):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        argv = ["faults", "data-serving", "--window", "8000",
+                "--warm", "3000"]
+        assert main(argv) == 0
+        cached = capsys.readouterr().out
 
-        monkeypatch.setattr(figure8_faults, "_measure_cell", counting)
-        figure8_faults.run(HEALTHY, workloads=["data-serving"],
-                           manifest_path=path, fresh=True)
-        assert computed == ["data-serving", "data-serving"]
+        def no_reads(self, fingerprint):
+            raise AssertionError("--no-cache read the result store")
+
+        monkeypatch.setattr(ResultStore, "get_faults", no_reads)
+        assert main(argv + ["--no-cache"]) == 0
+        assert capsys.readouterr().out == cached
+
+    def test_sweep_flags_reach_the_faults_engine(self, monkeypatch):
+        """``--jobs``, ``--timeout``, ``--retries`` and ``--resume`` are
+        honoured, not parsed and dropped."""
+        seen = {}
+
+        def spy(config, workloads=None, engine=None, intensity=1.0):
+            seen["engine"] = engine
+            raise KeyError("stop here")
+
+        monkeypatch.setattr(figure8_faults, "run", spy)
+        assert main(["faults", "--jobs", "3", "--timeout", "7",
+                     "--retries", "4", "--resume"]) == 2
+        engine = seen["engine"]
+        assert engine.jobs == 3 and engine.resume
+        assert engine.retry.timeout == 7.0
+        assert engine.retry.max_retries == 4

@@ -55,4 +55,5 @@ def test_live_tree_has_store_document_sinks():
     sinks = [info.qualname for info in model.functions.values()
              for sink in info.sinks if sink.kind == "store-document"]
     assert {"core.store:ResultStore._put",
+            "core.supervise:SweepCheckpoint.put",
             "trace.store:TraceStore.put"} <= set(sinks)

@@ -1,7 +1,7 @@
 """One crash/corruption matrix for every kind the blob store persists.
 
-Four document kinds — result runs, fleet summaries, calibrated cost
-models (all :class:`ResultStore`) and captured traces
+Five document kinds — result runs, fleet summaries, Figure 8 rows,
+calibrated cost models (all :class:`ResultStore`) and captured traces
 (:class:`TraceStore`) — times every way a stored blob goes bad: torn,
 non-UTF-8 bytes, a foreign schema, renamed to another fingerprint, or
 physically implausible.  Each cell of the matrix asserts the three
@@ -47,6 +47,9 @@ def samples() -> dict:
         "runs": [run_workload("sat-solver",
                               RunConfig(window_uops=6_000, warm_uops=2_000))],
         "cluster": [simulate(ClusterConfig(fleet=2, requests=200, seed=1))],
+        "faults": [{"ipc": 0.33, "l1i_mpki": 52.7, "l2i_mpki": 23.9,
+                    "code_kb": 1428.0, "goodput": 0.99, "retry_rate": 0.29,
+                    "p99": 6404, "faults_fired": 3}],
         "calibration": static_model("data-serving").to_doc(),
         "trace": trace,
     }
@@ -75,6 +78,10 @@ def _resign(data: bytes, edit: Callable[[dict], None]) -> bytes:
 
 def _unbalance(document):
     document["cluster"][0]["successes"] += 1
+
+
+def _poisoned_row(document):
+    document["faults"][0].update(ipc=-7.5, goodput=3.0)
 
 
 def _zero_read_p50(document):
@@ -112,6 +119,10 @@ KINDS = {
                     lambda store, sums: store.put_cluster(FINGERPRINT, sums),
                     ResultStore.get_cluster, _edit_json, _unbalance,
                     "not valid JSON", "successes + failures"),
+    "faults": Kind(ResultStore,
+                   lambda store, rows: store.put_faults(FINGERPRINT, rows),
+                   ResultStore.get_faults, _edit_json, _poisoned_row,
+                   "not valid JSON", "goodput must be in [0, 1]"),
     "calibration": Kind(
         ResultStore,
         lambda store, model: store.put_calibration(FINGERPRINT, model),
