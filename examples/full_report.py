@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Regenerate the paper's entire evaluation as one markdown report.
 
-Runs Table 1, Figures 1-7, the §4-implications ablations, and the
-claims-as-code verification, and writes everything to a single markdown
-file (default: ``report.md``).
+Builds every committed table (Table 1, Figures 1-9 and the five
+§4-implications ablations, each at its own window scale) on one sweep
+engine, checks the claims-as-code against them, and writes everything
+to a single markdown file (default: ``report.md``).
 
 Usage:
     python examples/full_report.py [output.md] [window_uops]
@@ -16,8 +17,8 @@ import sys
 import time
 
 from repro import RunConfig
-from repro.core.experiments import ALL_EXPERIMENTS, ablations
-from repro.core.paper import verify
+from repro.core.paper import TABLES, build, check
+from repro.core.sweep import SweepEngine
 
 
 def main() -> None:
@@ -30,20 +31,16 @@ def main() -> None:
     sections.append("")
 
     started = time.time()
-    for name, module in ALL_EXPERIMENTS.items():
+    engine = SweepEngine()
+    tables = {}
+    for name in TABLES:
         print(f"[{time.time() - started:6.0f}s] {name} ...")
-        sections.append(module.run(config).to_markdown())
-        sections.append("")
-
-    for experiment in (ablations.narrow_cores, ablations.window_size,
-                       ablations.llc_latency, ablations.instruction_fetch,
-                       ablations.core_aggressiveness):
-        print(f"[{time.time() - started:6.0f}s] {experiment.__name__} ...")
-        sections.append(experiment(config).to_markdown())
+        tables[name] = build(name, config, engine)
+        sections.append(tables[name].to_markdown())
         sections.append("")
 
     print(f"[{time.time() - started:6.0f}s] verification ...")
-    sections.append(verify(config).to_markdown())
+    sections.append(check(tables).to_markdown())
     sections.append("")
 
     with open(output, "w") as handle:

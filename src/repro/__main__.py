@@ -10,8 +10,8 @@ Commands:
     trace rm <prefix|all>     remove captured traces by fingerprint prefix
     trace stats               trace-store totals and pipeline taps
     table1                    print Table 1
-    figure1 .. figure7        regenerate one figure's table
-    figure9                   fleet tail-latency table (see `cluster`)
+    figure1 .. figure9        regenerate one figure's table
+    ablation_<name>           one ablation table (see `ablations`)
     faults [workload...]      healthy vs. degraded-mode table (Figure 8)
     cluster [workload]        simulated-fleet sweep (Figure 9): replicated
                               sharding, health-checked balancing, hedged
@@ -20,9 +20,11 @@ Commands:
                               derive per-op service-cost quantiles from
                               uarch replay (both fleet workloads when
                               no workload is named)
-    ablations                 run the §4-implications ablations
-    verify                    check every paper claim against fresh runs
-    all                       regenerate every table and figure
+    ablations                 the five §4-implications ablation tables
+    verify                    check every claim against fresh tables
+    all [--out DIR]           build every committed table and check every
+                              claim; --out also writes DIR/<table>.txt
+                              and DIR/verification.txt
     cache [stats|clear]       inspect or empty the on-disk result store
     doctor [--check]          scan/validate the store; quarantine defects
     lint [paths...]           static determinism & invariant linter
@@ -40,17 +42,24 @@ Options:
                   before the sweep reports it (default 2)
     --resume      rerun only the cells missing from an interrupted
                   sweep's checkpoint journal
-    --fleet N     cluster/figure9: sweep only this fleet size
-    --replication R  cluster/figure9: replicas per shard (default 2)
-    --costs M     cluster/figure9: service-cost source — static
+    --fleet N     cluster only: sweep only this fleet size (`figure9`
+                  is the committed table: every fleet, static costs)
+    --replication R  cluster only: replicas per shard (default 2)
+    --costs M     cluster only: service-cost source — static
                   (hand-written tables, the default), measured
                   (uarch-replay-calibrated quantile tables), or delta
                   (both, with a static-vs-measured comparison table)
     --no-cache    bypass the in-process and on-disk result caches
     --bars        render figures as ASCII bar charts instead of tables
     --check       doctor only: report defects without quarantining
+    --out DIR     all only: write the tables and the claim report here
+    -h, --help    print this usage (anywhere on the line) and exit
 
-Figure, faults and cluster sweeps persist results under
+Each table runs at its ``repro.core.paper.TABLES`` scale of the window.
+``all --out benchmarks/results --warm 30000 --jobs 2`` writes the
+committed tables.  verify and all exit 1 when a claim is not OK.
+
+Figure, faults, cluster, verify and all sweeps persist results under
 ``~/.cache/repro/`` (override with ``REPRO_CACHE_DIR``), keyed by a
 full-configuration fingerprint, so regenerating a figure is incremental
 across invocations.  Sweeps run supervised: a crashed or hung worker
@@ -66,6 +75,7 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 from repro.core.runner import RunConfig
 
@@ -94,6 +104,7 @@ class CliOptions:
     fleet: int | None = None
     replication: int = 2
     costs: str = "static"
+    out: str | None = None
 
 
 def _usage_error(message: str) -> None:
@@ -114,6 +125,7 @@ def _parse_config(args: list[str]) -> tuple[list[str], RunConfig, CliOptions]:
               "--retries": 2, "--fleet": None, "--replication": 2}
     floats: dict[str, float | None] = {"--timeout": None}
     choices = {"--costs": "static"}
+    out = None
     switches = {name: False for name in _SWITCH_FLAGS}
     rest: list[str] = []
     it = iter(args)
@@ -145,9 +157,13 @@ def _parse_config(args: list[str]) -> tuple[list[str], RunConfig, CliOptions]:
                 floats[arg] = float(raw)
             except ValueError:
                 _usage_error(f"{arg} requires a numeric value, got {raw!r}")
+        elif arg == "--out":
+            out = next(it, None)
+            if out is None:
+                _usage_error("--out requires a path")
         elif arg in _SWITCH_FLAGS:
             switches[arg] = True
-        elif arg.startswith("-") and arg not in ("-h", "--help"):
+        elif arg.startswith("-"):
             _usage_error(f"unknown flag {arg!r}")
         else:
             rest.append(arg)
@@ -175,7 +191,7 @@ def _parse_config(args: list[str]) -> tuple[list[str], RunConfig, CliOptions]:
                          check=switches["--check"],
                          fleet=values["--fleet"],
                          replication=values["--replication"],
-                         costs=choices["--costs"])
+                         costs=choices["--costs"], out=out)
     return rest, config, options
 
 
@@ -195,23 +211,6 @@ def _build_engine(options: CliOptions):
         jobs=options.jobs, use_cache=not options.no_cache, store=store,
         retry=policy, checkpoint_dir=default_cache_dir() / "checkpoints",
         resume=options.resume)
-
-
-def _run_figure(name: str, config: RunConfig, options: CliOptions,
-                engine=None) -> None:
-    from repro.core.experiments import ALL_EXPERIMENTS
-
-    module = ALL_EXPERIMENTS[name]
-    table = module.run(config, engine=engine or _build_engine(options))
-    if options.bars and name != "table1":
-        label = table.columns[0]
-        numeric = [c for c in table.columns[1:]
-                   if all(isinstance(r.get(c), (int, float))
-                          for r in table.rows)]
-        print(table.to_bars(label, numeric[:2]))
-    else:
-        print(table.to_text())
-    _report_trace_taps()
 
 
 def _report_trace_taps() -> None:
@@ -445,8 +444,11 @@ def main(argv: list[str] | None = None) -> int:
         from repro.lint.cli import main as lint_main
 
         return lint_main(argv[1:])
+    if "-h" in argv or "--help" in argv:
+        print(__doc__)
+        return 0
     args, config, options = _parse_config(argv)
-    if not args or args[0] in ("-h", "--help", "help"):
+    if not args or args[0] == "help":
         print(__doc__)
         return 0
     command = args[0]
@@ -515,33 +517,44 @@ def _sweep_command(command: str, args: list[str], config: RunConfig,
         print(table.to_text())
         _report_trace_taps()
         return 0
-    if command == "verify":
-        from repro.core.paper import verify
+    from repro.core import paper
 
-        report = verify(config)
+    if command == "verify":
+        report = paper.verify(config, engine=_build_engine(options))
         print(report.to_text())
         return 0 if all(row["OK"] == "yes" for row in report.rows) else 1
-    if command == "ablations":
-        from repro.core.experiments import ablations
-
-        for experiment in (ablations.narrow_cores, ablations.window_size,
-                           ablations.llc_latency):
-            print(experiment(config).to_text())
-            print()
-        return 0
-    from repro.core.experiments import ALL_EXPERIMENTS
-
     if command == "all":
-        engine = _build_engine(options)
-        for name in ALL_EXPERIMENTS:
-            _run_figure(name, config, options, engine=engine)
+        names = list(paper.TABLES)
+    elif command == "ablations":
+        names = [name for name in paper.TABLES if name.startswith("ablation")]
+    elif command in paper.TABLES:
+        names = [command]
+    else:
+        print(f"unknown command {command!r}; try `python -m repro help`")
+        return 2
+    engine = _build_engine(options)
+    tables = {name: paper.build(name, config, engine) for name in names}
+    for name, table in tables.items():
+        if options.bars and name != "table1":
+            numeric = [c for c in table.columns[1:]
+                       if all(isinstance(r.get(c), (int, float))
+                              for r in table.rows)]
+            print(table.to_bars(table.columns[0], numeric[:2]))
+        else:
+            print(table.to_text())
+        if len(names) > 1:
             print()
+    _report_trace_taps()
+    if command != "all":
         return 0
-    if command in ALL_EXPERIMENTS:
-        _run_figure(command, config, options)
-        return 0
-    print(f"unknown command {command!r}; try `python -m repro help`")
-    return 2
+    report = paper.check(tables)
+    print(report.to_text())
+    if options.out is not None:
+        out = Path(options.out)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, table in {**tables, "verification": report}.items():
+            (out / f"{name}.txt").write_text(table.to_text() + "\n")
+    return 0 if all(row["OK"] == "yes" for row in report.rows) else 1
 
 
 def _entry() -> int:

@@ -1,44 +1,7 @@
 """One module per table/figure of the paper's evaluation (§4).
 
-Every module exposes ``run(config) -> ExperimentTable`` producing the
-same rows/series the paper reports.  The benchmark harness times these
-and writes their tables; the test suite asserts their qualitative
-shapes (who wins, by roughly what factor, where crossovers fall).
+Every module exposes ``run(config, engine=None) -> ExperimentTable``
+producing the same rows/series the paper reports;
+:data:`repro.core.paper.TABLES` lists the committed tables.  The package
+imports none of its modules, so importing one figure loads only that one.
 """
-
-from repro.core.experiments import (
-    table1,
-    figure1,
-    figure2,
-    figure3,
-    figure4,
-    figure5,
-    figure6,
-    figure7,
-    figure9_cluster,
-)
-
-ALL_EXPERIMENTS = {
-    "table1": table1,
-    "figure1": figure1,
-    "figure2": figure2,
-    "figure3": figure3,
-    "figure4": figure4,
-    "figure5": figure5,
-    "figure6": figure6,
-    "figure7": figure7,
-    "figure9": figure9_cluster,
-}
-
-__all__ = [
-    "table1",
-    "figure1",
-    "figure2",
-    "figure3",
-    "figure4",
-    "figure5",
-    "figure6",
-    "figure7",
-    "figure9_cluster",
-    "ALL_EXPERIMENTS",
-]

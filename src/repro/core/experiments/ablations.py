@@ -15,6 +15,10 @@ changes.  These experiments test those arguments on the simulator:
   capture a working set lead to an overall performance degradation" —
   a smaller LLC with proportionally lower latency should *help*
   scale-out workloads.
+
+Every run the shared runner can measure is a sweep cell on ``engine``
+(so ``--jobs``, the result store and ``--resume`` apply); the
+hand-built 2-wide and in-order cores run in-process.
 """
 
 from __future__ import annotations
@@ -23,20 +27,22 @@ from dataclasses import replace
 
 from repro.core import analysis
 from repro.core.report import ExperimentTable
-from repro.core.runner import (
-    RunConfig,
-    guarded_trace,
-    run_workload,
-    run_workload_smt,
-)
+from repro.core.runner import RunConfig, guarded_trace
+from repro.core.sweep import Cell, SweepEngine
 from repro.core.workloads import build_app
 from repro.uarch.core import Core
 from repro.uarch.hierarchy import MemoryHierarchy
 from repro.uarch.params import CacheParams
 
 
+def _runs(engine: SweepEngine | None, cells: list[Cell]):
+    """The cells' runs, in cell order, from one sweep on ``engine``."""
+    return iter((engine or SweepEngine()).run_flat(cells))
+
+
 def narrow_cores(config: RunConfig | None = None,
-                 workloads: list[str] | None = None) -> ExperimentTable:
+                 workloads: list[str] | None = None,
+                 engine: SweepEngine | None = None) -> ExperimentTable:
     """One 4-wide SMT core vs two independent 2-wide cores."""
     config = config or RunConfig()
     workloads = workloads or ["data-serving", "web-search", "media-streaming"]
@@ -47,8 +53,8 @@ def narrow_cores(config: RunConfig | None = None,
     )
     narrow_params = replace(config.params, width=2, rob_entries=64,
                             reservation_stations=24)
-    for name in workloads:
-        smt = run_workload_smt(name, config)
+    smt_runs = _runs(engine, [Cell("smt", name, config) for name in workloads])
+    for name, smt in zip(workloads, smt_runs):
         smt_ipc = analysis.ipc(smt.result)
         # Two independent 2-wide cores, each running one thread of the
         # same app (private L1/L2, both warmed; aggregate = sum of IPCs).
@@ -76,7 +82,8 @@ def narrow_cores(config: RunConfig | None = None,
 
 def window_size(config: RunConfig | None = None,
                 rob_sizes: tuple[int, ...] = (32, 64, 128),
-                workloads: list[str] | None = None) -> ExperimentTable:
+                workloads: list[str] | None = None,
+                engine: SweepEngine | None = None) -> ExperimentTable:
     """IPC as a function of reorder-window size."""
     config = config or RunConfig()
     workloads = workloads or ["data-serving", "tpc-c", "parsec-cpu"]
@@ -85,17 +92,17 @@ def window_size(config: RunConfig | None = None,
         columns=["Workload"] + [f"ROB {size}" for size in rob_sizes]
                 + ["128-entry gain over 32"],
     )
+    sized = [replace(config, params=replace(
+                 config.params, rob_entries=size,
+                 reservation_stations=min(36, max(8, size // 3))))
+             for size in rob_sizes]
+    runs = _runs(engine, [Cell("single", name, sized_config)
+                          for name in workloads for sized_config in sized])
     for name in workloads:
         row: dict[str, object] = {"Workload": name}
         ipcs = []
         for size in rob_sizes:
-            params = replace(
-                config.params,
-                rob_entries=size,
-                reservation_stations=min(36, max(8, size // 3)),
-            )
-            run = run_workload(name, replace(config, params=params))
-            ipc = analysis.ipc(run.result)
+            ipc = analysis.ipc(next(runs).result)
             ipcs.append(ipc)
             row[f"ROB {size}"] = ipc
         row["128-entry gain over 32"] = ipcs[-1] / ipcs[0] - 1.0
@@ -104,7 +111,8 @@ def window_size(config: RunConfig | None = None,
 
 
 def llc_latency(config: RunConfig | None = None,
-                workloads: list[str] | None = None) -> ExperimentTable:
+                workloads: list[str] | None = None,
+                engine: SweepEngine | None = None) -> ExperimentTable:
     """A 6 MB LLC at 21 cycles vs the 12 MB LLC at 29 cycles (§4.3)."""
     config = config or RunConfig()
     workloads = workloads or ["web-search", "media-streaming", "specint-mcf"]
@@ -113,14 +121,15 @@ def llc_latency(config: RunConfig | None = None,
                "vs the baseline (12 MB / 29 cycles)."),
         columns=["Workload", "Baseline IPC", "Small-fast IPC", "Speedup"],
     )
-    small_fast = replace(
+    small_fast = replace(config, params=replace(
         config.params, llc=CacheParams(6 * 1024 * 1024, 16, 21)
-    )
+    ))
+    runs = _runs(engine, [Cell("single", name, variant)
+                          for name in workloads
+                          for variant in (config, small_fast)])
     for name in workloads:
-        base = analysis.ipc(run_workload(name, config).result)
-        fast = analysis.ipc(
-            run_workload(name, replace(config, params=small_fast)).result
-        )
+        base = analysis.ipc(next(runs).result)
+        fast = analysis.ipc(next(runs).result)
         table.add_row(
             Workload=name,
             **{"Baseline IPC": base, "Small-fast IPC": fast,
@@ -135,7 +144,8 @@ def llc_latency(config: RunConfig | None = None,
 
 def instruction_fetch(config: RunConfig | None = None,
                       l1i_kb: tuple[int, ...] = (32, 64, 128),
-                      workloads: list[str] | None = None) -> ExperimentTable:
+                      workloads: list[str] | None = None,
+                      engine: SweepEngine | None = None) -> ExperimentTable:
     """L1-I capacity provisioning (§4.1 Implications / §6).
 
     The paper calls for "optimizing the instruction-fetch path for
@@ -151,17 +161,16 @@ def instruction_fetch(config: RunConfig | None = None,
         columns=["Workload"] + [f"L1-I {kb}KB" for kb in l1i_kb]
                 + ["Miss reduction 32->128"],
     )
+    sized = [replace(config, params=replace(config.params, l1i=CacheParams(
+                 kb * 1024, 4 if kb == 32 else 8, config.params.l1i.latency)))
+             for kb in l1i_kb]
+    runs = _runs(engine, [Cell("single", name, sized_config)
+                          for name in workloads for sized_config in sized])
     for name in workloads:
         row: dict[str, object] = {"Workload": name}
         mpkis = []
         for kb in l1i_kb:
-            params = replace(
-                config.params,
-                l1i=CacheParams(kb * 1024, 4 if kb == 32 else 8,
-                                config.params.l1i.latency),
-            )
-            run = run_workload(name, replace(config, params=params))
-            mpki = analysis.instruction_mpki(run.result)
+            mpki = analysis.instruction_mpki(next(runs).result)
             mpkis.append(mpki)
             row[f"L1-I {kb}KB"] = mpki
         row["Miss reduction 32->128"] = (
@@ -177,7 +186,8 @@ def instruction_fetch(config: RunConfig | None = None,
 
 
 def core_aggressiveness(config: RunConfig | None = None,
-                        workloads: list[str] | None = None) -> ExperimentTable:
+                        workloads: list[str] | None = None,
+                        engine: SweepEngine | None = None) -> ExperimentTable:
     """In-order vs modest OoO vs aggressive OoO (§4.2 Implications).
 
     The paper's sweet spot is "a modest degree of superscalar out-of-
@@ -195,8 +205,11 @@ def core_aggressiveness(config: RunConfig | None = None,
         columns=["Workload", "In-order IPC", "2-wide OoO IPC",
                  "4-wide OoO IPC", "OoO gain", "Aggressive gain"],
     )
-    modest = replace(config.params, width=2, rob_entries=64,
-                     reservation_stations=24)
+    modest = replace(config, params=replace(
+        config.params, width=2, rob_entries=64, reservation_stations=24))
+    runs = _runs(engine, [Cell("single", name, variant)
+                          for name in workloads
+                          for variant in (modest, config)])
     for name in workloads:
         app = build_app(name, seed=config.seed)
         hierarchy = MemoryHierarchy(config.params)
@@ -206,10 +219,8 @@ def core_aggressiveness(config: RunConfig | None = None,
                                             f"{name}[in-order]")])
         in_ipc = analysis.ipc(in_res)
 
-        modest_ipc = analysis.ipc(
-            run_workload(name, replace(config, params=modest)).result
-        )
-        aggressive_ipc = analysis.ipc(run_workload(name, config).result)
+        modest_ipc = analysis.ipc(next(runs).result)
+        aggressive_ipc = analysis.ipc(next(runs).result)
         table.add_row(
             Workload=name,
             **{

@@ -269,9 +269,7 @@ def _run_member(group: str, member: str, config: RunConfig,
         return hit
     label = f"{group}:{member}"
     if smt:
-        spec = REGISTRY[group]
-        app_cls = type(spec.factory(0))
-        app = app_cls(seed=config.seed, member=member)
+        app = REGISTRY[group].app_cls(seed=config.seed, member=member)
         _attach_faults(app, config)
         half = config.window_uops // 2
         source = LiveSource(app, budgets=(half, half), label=label,

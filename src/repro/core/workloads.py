@@ -8,7 +8,6 @@ right.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.apps.base import ServerApp
 from repro.apps.kvstore import DataServingApp
@@ -35,38 +34,39 @@ class WorkloadSpec:
 
     name: str
     display_name: str
-    factory: Callable[[int], ServerApp]
+    app_cls: type[ServerApp]  # built as ``app_cls(seed=...)``
     group: str  # 'scale-out', 'desktop', 'parallel', 'web', 'oltp'
     multithreaded: bool = True  # server apps share one instance per chip
 
 
-def _spec(name, display, cls, group, multithreaded=True) -> WorkloadSpec:
-    return WorkloadSpec(name, display, lambda seed=0: cls(seed=seed), group,
-                        multithreaded)
-
-
 SCALE_OUT: list[WorkloadSpec] = [
-    _spec("data-serving", "Data Serving", DataServingApp, "scale-out"),
-    _spec("mapreduce", "MapReduce", MapReduceApp, "scale-out"),
-    _spec("media-streaming", "Media Streaming", MediaStreamingApp, "scale-out"),
-    _spec("sat-solver", "SAT Solver", SatSolverApp, "scale-out", multithreaded=False),
-    _spec("web-frontend", "Web Frontend", WebFrontendApp, "scale-out"),
-    _spec("web-search", "Web Search", WebSearchApp, "scale-out"),
+    WorkloadSpec("data-serving", "Data Serving", DataServingApp, "scale-out"),
+    WorkloadSpec("mapreduce", "MapReduce", MapReduceApp, "scale-out"),
+    WorkloadSpec("media-streaming", "Media Streaming", MediaStreamingApp, "scale-out"),
+    WorkloadSpec("sat-solver", "SAT Solver", SatSolverApp, "scale-out",
+                 multithreaded=False),
+    WorkloadSpec("web-frontend", "Web Frontend", WebFrontendApp, "scale-out"),
+    WorkloadSpec("web-search", "Web Search", WebSearchApp, "scale-out"),
 ]
 
 TRADITIONAL: list[WorkloadSpec] = [
-    _spec("parsec-cpu", "PARSEC (cpu)", ParsecCpuApp, "parallel", multithreaded=False),
-    _spec("parsec-mem", "PARSEC (mem)", ParsecMemApp, "parallel", multithreaded=False),
-    _spec("specint-cpu", "SPECint (cpu)", SpecIntCpuApp, "desktop", multithreaded=False),
-    _spec("specint-mem", "SPECint (mem)", SpecIntMemApp, "desktop", multithreaded=False),
-    _spec("specweb09", "SPECweb09", SpecWebApp, "web"),
-    _spec("tpc-c", "TPC-C", TpccApp, "oltp"),
-    _spec("tpc-e", "TPC-E", TpceApp, "oltp"),
-    _spec("web-backend", "Web Backend", WebBackendApp, "oltp"),
+    WorkloadSpec("parsec-cpu", "PARSEC (cpu)", ParsecCpuApp, "parallel",
+                 multithreaded=False),
+    WorkloadSpec("parsec-mem", "PARSEC (mem)", ParsecMemApp, "parallel",
+                 multithreaded=False),
+    WorkloadSpec("specint-cpu", "SPECint (cpu)", SpecIntCpuApp, "desktop",
+                 multithreaded=False),
+    WorkloadSpec("specint-mem", "SPECint (mem)", SpecIntMemApp, "desktop",
+                 multithreaded=False),
+    WorkloadSpec("specweb09", "SPECweb09", SpecWebApp, "web"),
+    WorkloadSpec("tpc-c", "TPC-C", TpccApp, "oltp"),
+    WorkloadSpec("tpc-e", "TPC-E", TpceApp, "oltp"),
+    WorkloadSpec("web-backend", "Web Backend", WebBackendApp, "oltp"),
 ]
 
 #: The mcf reference used by Figure 4 (not part of the 14 suite bars).
-MCF = _spec("specint-mcf", "SPECint (mcf)", McfApp, "desktop", multithreaded=False)
+MCF = WorkloadSpec("specint-mcf", "SPECint (mcf)", McfApp, "desktop",
+                   multithreaded=False)
 
 ALL_WORKLOADS: list[WorkloadSpec] = SCALE_OUT + TRADITIONAL
 
@@ -84,7 +84,7 @@ def build_app(name: str, seed: int = 0) -> ServerApp:
     if spec is None:
         known = ", ".join(sorted(REGISTRY))
         raise KeyError(f"unknown workload {name!r}; known: {known}")
-    return spec.factory(seed)
+    return spec.app_cls(seed=seed)
 
 
 def workload_names(include_mcf: bool = False) -> list[str]:

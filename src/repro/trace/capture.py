@@ -154,9 +154,8 @@ def build_app_for(key: TraceKey) -> "ServerApp":
     from repro.core.workloads import REGISTRY, build_app
 
     if key.member is not None:
-        spec = REGISTRY[key.workload]
-        app_cls = type(spec.factory(0))
-        app = app_cls(seed=key.seed, member=key.member)
+        app = REGISTRY[key.workload].app_cls(seed=key.seed,
+                                             member=key.member)
     else:
         app = build_app(key.workload, seed=key.seed)
     if key.fault_plan is not None:

@@ -68,6 +68,11 @@ class TestClusterValidation:
         broken["acked_lost"] = broken["acked_writes"] + 1
         assert check_cluster_summary(broken)
 
+    def test_any_lost_acked_write_is_rejected(self, good_summary):
+        broken = dict(good_summary, acked_lost=1)
+        assert 0 < broken["acked_lost"] <= broken["acked_writes"]
+        assert check_cluster_summary(broken)
+
     def test_validate_raises_with_context(self, good_summary):
         broken = copy.deepcopy(good_summary)
         broken["goodput"] = 1.5

@@ -2,8 +2,11 @@
 
 import pytest
 
+import repro.__main__
 from repro.__main__ import _parse_config, main
-from repro.core.experiments import ALL_EXPERIMENTS, ablations, table1
+from repro.core import paper
+from repro.core.experiments import ablations, table1
+from repro.core.report import ExperimentTable
 from repro.core.runner import RunConfig
 
 
@@ -43,10 +46,6 @@ class TestCliParsing:
         assert options.jobs == 4
         assert options.no_cache
 
-    def test_help_flags_pass_through(self):
-        args, _, _ = _parse_config(["-h"])
-        assert args == ["-h"]
-
     def test_supervision_flags(self):
         args, _config, options = _parse_config(
             ["figure4", "--timeout", "2.5", "--retries", "0", "--resume"])
@@ -79,6 +78,7 @@ class TestCliParsing:
         ["figure4", "--retries", "1.5"],
         ["--bogus"],                        # unknown flag
         ["-x", "figure1"],
+        ["all", "--out"],                   # missing path
     ])
     def test_malformed_flags_exit_with_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -160,6 +160,55 @@ class TestCliCommands:
             main(["figure1", "--window", "many"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["-h"],
+        ["--help"],
+        ["list", "--help"],
+        ["verify", "--help"],
+        ["all", "-h", "--out", "never-written"],
+        ["figure1", "--window", "many", "--help"],
+        ["--jobs", "2", "faults", "-h"],
+    ])
+    def test_help_anywhere_prints_usage_and_runs_nothing(
+            self, argv, monkeypatch, capsys):
+        monkeypatch.setattr(repro.__main__, "_build_engine",
+                            lambda options: pytest.fail("a command ran"))
+        assert main(argv) == 0
+        assert capsys.readouterr().out == repro.__main__.__doc__ + "\n"
+
+    @pytest.mark.parametrize("second_holds, status", [(True, 0), (False, 1)])
+    def test_all_writes_every_table_and_the_claim_report(
+            self, second_holds, status, monkeypatch, tmp_path):
+        """``all --out`` over a two-table registry: both tables built on
+        one engine at their own scales, every file written, and the
+        exit status set by the claims."""
+        built = []
+
+        def table(config, engine=None):
+            built.append((config.window_uops, engine))
+            result = ExperimentTable(f"Table {len(built)}.", ["Value"])
+            result.add_row(Value=1.0)
+            return result
+
+        monkeypatch.setattr(paper, "TABLES", {"first": (table, 1),
+                                              "second": (table, 0.5)})
+        monkeypatch.setattr(paper, "CLAIMS", [
+            paper.Claim("first", "first holds", lambda tables: True),
+            paper.Claim("second", "second holds",
+                        lambda tables: second_holds),
+            paper.Claim("absent", "never built", lambda tables: False),
+        ])
+        out = tmp_path / "results"
+        assert main(["all", "--out", str(out), "--window", "8000"]) == status
+        assert sorted(path.name for path in out.iterdir()) == [
+            "first.txt", "second.txt", "verification.txt"]
+        assert (out / "second.txt").read_text().startswith("Table 2.\n")
+        report = (out / "verification.txt").read_text()
+        assert "second holds" in report and "never built" not in report
+        assert ("NO" in report) == (not second_holds)
+        assert [window for window, _engine in built] == [8000, 4000]
+        assert built[0][1] is built[1][1] is not None
+
 
 class TestDoctorCommand:
     @staticmethod
@@ -209,14 +258,27 @@ class TestDoctorCommand:
 
 class TestExperimentRegistry:
     def test_every_figure_registered(self):
-        assert set(ALL_EXPERIMENTS) == {
-            "table1", "figure1", "figure2", "figure3", "figure4",
-            "figure5", "figure6", "figure7", "figure9",
+        scales = {name: scale for name, (_run, scale) in paper.TABLES.items()}
+        assert scales == {
+            "table1": 1, **{f"figure{i}": 1 for i in range(1, 10)},
+            "figure4": 0.6, "figure6": 1.5,
+            "ablation_narrow_cores": 0.75, "ablation_window_size": 0.75,
+            "ablation_llc_latency": 0.75, "ablation_instruction_fetch": 0.75,
+            "ablation_core_aggressiveness": 0.6,
         }
 
     def test_every_module_has_run(self):
-        for name, module in ALL_EXPERIMENTS.items():
-            assert callable(module.run), name
+        import inspect
+
+        for name, (run, _scale) in paper.TABLES.items():
+            assert "engine" in inspect.signature(run).parameters, name
+
+    def test_build_at_scale_one_keeps_the_config(self, monkeypatch):
+        """``scaled(1)`` would lift a tiny window to its floors."""
+        monkeypatch.setattr(paper, "TABLES", {
+            "t": (lambda config, engine=None: config, 1)})
+        config = RunConfig(window_uops=1_000, warm_uops=300)
+        assert paper.build("t", config) is config
 
 
 class TestExperimentSmoke:
@@ -225,6 +287,11 @@ class TestExperimentSmoke:
     def test_table1(self, tiny_config):
         table = table1.run(tiny_config)
         assert len(table.rows) == 10
+        values = {row["Parameter"]: row["Value"] for row in table.rows}
+        assert values["Core width"] == "4-wide issue and retire"
+        assert values["Reorder buffer"] == "128 entries"
+        assert "12MB" in values["LLC (L3 cache)"]
+        assert any("self-check passed" in note for note in table.notes)
 
     def test_figure2_rows_cover_the_suite(self, tiny_config):
         from repro.core.experiments import figure2

@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.core.paper import CLAIMS, Claim, verify
+from repro.core.paper import CLAIMS, TABLES, Claim, verify
 from repro.core.report import ExperimentTable
 
 
 class TestClaimRegistry:
     def test_every_figure_has_claims(self):
         figures = {claim.figure for claim in CLAIMS}
-        assert figures == {f"figure{i}" for i in range(1, 8)}
+        assert figures == set(TABLES) - {"table1"}
 
     def test_documented_deviations_are_marked(self):
         partial = [claim for claim in CLAIMS if claim.expected == "partial"]
@@ -41,7 +41,7 @@ class TestVerifyMechanics:
     def test_verify_subset_of_figures(self, small_config):
         report = verify(small_config, figures=["figure2"])
         assert all(row["Figure"] == "figure2" for row in report.rows)
-        assert len(report.rows) == 2
+        assert len(report.rows) == 3
 
     def test_verify_reports_ok_column(self, small_config):
         report = verify(small_config, figures=["figure1"])
