@@ -221,7 +221,7 @@ def _report_trace_taps() -> None:
     """
     from repro.trace.pipeline import TAPS
 
-    if TAPS.captures or TAPS.replays or TAPS.store_hits:
+    if TAPS.captures or TAPS.replays or TAPS.store_hits or TAPS.worker_cells:
         print(TAPS.summary(), file=sys.stderr)
 
 

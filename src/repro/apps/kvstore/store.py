@@ -161,7 +161,7 @@ class KeyValueStore:
             SSTable(
                 space,
                 table_id,
-                [k for k in range(record_count) if k % sstables == table_id],
+                list(range(table_id, record_count, sstables)),
                 record_bytes,
             )
             for table_id in range(sstables)

@@ -79,9 +79,9 @@ class MapReduceApp(ServerApp):
         heap_before = self.space.region("heap").cursor
         self.vocab_index = SimHashMap(self.space, nbuckets=self.vocab_size, node_bytes=48)
         rt0 = self.runtime(0)
-        for term in range(self.vocab_size):
-            self.vocab_index.put(rt0, term, term)
-        rt0.take()  # discard setup trace
+        with rt0.discard():  # setup, not measured
+            for term in range(self.vocab_size):
+                self.vocab_index.put(rt0, term, term)
         self.weights = SimArray(
             self.space, self.vocab_size, 8 * self.num_classes
         )

@@ -41,14 +41,31 @@ class BPlusTree:
     def __init__(self, space: AddressSpace, name: str = "btree") -> None:
         self._space = space
         self.name = name
+        self.node_count = 0
         self.root = self._new_node(leaf=True)
         self.height = 1
         self.size = 0
-        self.node_count = 1
+        # The append fast path's cache: the rightmost leaf (None while
+        # a full internal node sits on the right spine) and the node
+        # count it was found at.  Every split allocates a node, so only
+        # a changed count can stale it.
+        self._tail: _Node | None = None
+        self._tail_nodes = 0
 
     def _new_node(self, leaf: bool) -> _Node:
-        self.node_count = getattr(self, "node_count", 0) + 1
+        self.node_count += 1
         return _Node(leaf, self._space.alloc(_NODE_BYTES, "heap", align=_LINE))
+
+    def _find_tail(self) -> None:
+        """Re-walk the right spine into the fast path's cache."""
+        self._tail_nodes = self.node_count
+        self._tail = None
+        node = self.root
+        while not node.leaf:
+            if len(node.keys) >= self.ORDER:
+                return  # the next rightmost insert splits it
+            node = node.children[-1]
+        self._tail = node
 
     # -- traced access helpers -------------------------------------------
     @staticmethod
@@ -82,6 +99,22 @@ class BPlusTree:
 
     def insert(self, key: int, value: object, rt: Runtime | None = None,
                dep: int = 0) -> None:
+        if rt is None:
+            # Bulk population inserts mostly ascending keys.  A key
+            # above the rightmost leaf's last key is above every
+            # separator on the right spine too (no key right of a
+            # separator is below it), so when no node on that spine is
+            # full the incremental path below would only append it to
+            # that leaf: do just that.
+            if self._tail_nodes != self.node_count:
+                self._find_tail()
+            leaf = self._tail
+            if (leaf is not None and leaf.keys
+                    and len(leaf.keys) < self.ORDER and key > leaf.keys[-1]):
+                leaf.keys.append(key)
+                leaf.values.append(value)
+                self.size += 1
+                return
         root = self.root
         if len(root.keys) >= self.ORDER:
             new_root = self._new_node(leaf=False)
@@ -121,14 +154,16 @@ class BPlusTree:
                         rt: Runtime | None, dep: int = 0) -> None:
         token = dep
         while not node.leaf:
-            token = self._touch_node(rt, node, token)
+            if rt is not None:
+                token = self._touch_node(rt, node, token)
             slot = bisect.bisect_right(node.keys, key)
             if len(node.children[slot].keys) >= self.ORDER:
                 self._split_child(node, slot, rt)
                 if key > node.keys[slot]:
                     slot += 1
             node = node.children[slot]
-        self._touch_node(rt, node, token)
+        if rt is not None:
+            self._touch_node(rt, node, token)
         slot = bisect.bisect_left(node.keys, key)
         if slot < len(node.keys) and node.keys[slot] == key:
             node.values[slot] = value

@@ -267,7 +267,7 @@ class SweepEngine:
     def run(self, cells: Sequence) -> list[list]:
         from repro.core.supervise import (SweepCellError, SweepCheckpoint,
                                           SweepSupervisor, run_serial)
-        from repro.trace.pipeline import materialize_cells
+        from repro.trace.pipeline import TAPS, materialize_cells
 
         fingerprints = [cell.fingerprint() for cell in cells]
         checkpoint = None
@@ -325,6 +325,7 @@ class SweepEngine:
                 materialize_cells([cell for _, cell, _ in pending],
                                   use_store=self.use_cache)
             if self.jobs > 1 and len(pending) > 1:
+                TAPS.worker_cells += len(pending)
                 supervisor = SweepSupervisor(self.worker, self.jobs,
                                              self.retry,
                                              use_cache=self.use_cache)

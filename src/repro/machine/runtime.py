@@ -18,7 +18,8 @@ tokens as ``deps`` to later operations that consume their results.
 from __future__ import annotations
 
 import random
-from typing import Iterable
+from contextlib import contextmanager
+from typing import Iterable, Iterator
 
 from repro.machine.codelayout import CodeLayout, Function
 from repro.machine.hashing import stable_hash
@@ -77,26 +78,21 @@ class Runtime:
         pc = fn.base + offset
         self._offset = offset + 4
         self.seq += 1
-        self._buf.append(
-            MicroOp(
-                kind,
-                pc,
-                addr,
-                deps,
-                self.seq,
-                fn.os or self._os_depth > 0,
-                self.tid,
-                taken,
-                target,
-            )
-        )
+        is_os = fn.os or self._os_depth > 0
+        buf = self._buf
+        buf.append(MicroOp(kind, pc, addr, deps, self.seq, is_os, self.tid,
+                           taken, target))
         self._bb_left -= 1
         if self._bb_left <= 0:
-            self._end_basic_block()
+            pc, taken, target = self._end_basic_block()
+            buf.append(MicroOp(OpKind.BRANCH, pc, 0, (), self.seq, is_os,
+                               self.tid, taken, target))
         return self.seq
 
-    def _end_basic_block(self) -> None:
-        """Emit the compiler-inserted branch that terminates a basic block.
+    def _end_basic_block(self) -> tuple[int, bool, int]:
+        """Advance past the compiler-inserted branch that terminates a
+        basic block; returns its ``(pc, taken, target)`` for the caller
+        to emit.
 
         Branch behaviour mimics compiled code: every *static* branch PC
         has a deterministic bias (mostly-taken or mostly-not-taken) and a
@@ -133,20 +129,30 @@ class Runtime:
                 taken, target = True, fn.base + new_offset
             else:
                 taken, target, new_offset = False, pc + 4, offset + 4
-        self._buf.append(
-            MicroOp(
-                OpKind.BRANCH,
-                pc,
-                0,
-                (),
-                self.seq,
-                fn.os or self._os_depth > 0,
-                self.tid,
-                taken,
-                target,
-            )
-        )
         self._offset = new_offset
+        return pc, taken, target
+
+    def _skip(self, kind: int, addr: int = 0, deps: tuple[int, ...] = (),
+              taken: bool = False, target: int = 0) -> int:
+        """:meth:`_emit` inside :meth:`discard`: the same state, no op."""
+        offset = self._offset
+        if offset >= self._fn.size:
+            offset = 0
+        self._offset = offset + 4
+        self.seq += 1
+        self._bb_left -= 1
+        if self._bb_left <= 0:
+            self._end_basic_block()
+        return self.seq
+
+    def _skip_branch(self, taken: bool, deps: Iterable[int] = (),
+                     site: str | None = None) -> int:
+        """:meth:`branch` inside :meth:`discard`.  A site branch moves
+        nothing but ``seq``; a siteless one draws its target as usual."""
+        if site is None:
+            return type(self).branch(self, taken, deps)
+        self.seq += 1
+        return self.seq
 
     # -- public tracing API -------------------------------------------------
     def load(self, addr: int, deps: Iterable[int] = ()) -> int:
@@ -265,6 +271,24 @@ class Runtime:
         """Tag emitted micro-ops as OS regardless of the current function."""
         self._os_depth += 1
         return Runtime._OsScope(self)
+
+    @contextmanager
+    def discard(self) -> Iterator["Runtime"]:
+        """Run unmeasured work (an app's startup load) without ops.
+
+        Inside the scope every call advances exactly the state emitting
+        would: ``seq``, the PC offset, the basic-block countdown and
+        its RNG draws, branch-direction draws, the call stack and the
+        OS depth.  No :class:`MicroOp` is built, so the stream after
+        the scope equals the one left by emitting and then
+        :meth:`take`-ing the ops away, at a fraction of the cost.
+        Scopes do not nest.
+        """
+        self._emit, self.branch = self._skip, self._skip_branch
+        try:
+            yield self
+        finally:
+            del self._emit, self.branch
 
     # -- bulk helpers --------------------------------------------------------
     def scan(

@@ -58,6 +58,8 @@ class TraceTaps:
     replays: int = 0
     replay_uops: int = 0
     replay_seconds: float = 0.0
+    #: Sweep cells handed to pool workers, whose taps stay there.
+    worker_cells: int = 0
 
     def reset(self) -> None:
         """Zero every tap (test isolation; ``trace stats`` baselines)."""
@@ -75,7 +77,13 @@ class TraceTaps:
                 if self.replay_seconds > 0 else 0.0)
 
     def summary(self) -> str:
-        """One line for sweep progress output and ``trace stats``."""
+        """One line for sweep progress output and ``trace stats``.
+
+        Taps count this process only, so once cells ran in pool
+        workers the line says so, with how many did.
+        """
+        workers = (f" [this process only; {self.worker_cells} cell(s) "
+                   "ran in worker processes]" if self.worker_cells else "")
         return (
             f"trace pipeline: {self.captures} capture(s) "
             f"({self.capture_uops} uops, {self.capture_seconds:.2f}s, "
@@ -85,7 +93,7 @@ class TraceTaps:
             f"{self.replay_rate():,.0f} uops/s), "
             f"store {self.store_hits} hit(s) / "
             f"{self.store_misses} miss(es), "
-            f"{self.memo_hits} memo hit(s)"
+            f"{self.memo_hits} memo hit(s){workers}"
         )
 
 

@@ -264,6 +264,86 @@ class TestBPlusTreeDelete:
             assert tree.search(key) == value
 
 
+def _tree_steps():
+    """Build steps: ascending runs, stray (non-monotonic or duplicate)
+    keys, deletes, and inserts that carry a runtime."""
+    run = st.tuples(st.just("run"), st.integers(-500, 6_000),
+                    st.integers(1, 200), st.integers(1, 3))
+    single = st.tuples(st.sampled_from(["key", "delete", "traced"]),
+                       st.integers(-500, 6_000), st.just(0), st.just(0))
+    return st.lists(st.one_of(run, single), min_size=1, max_size=30)
+
+
+def _build(steps, rt_for_all):
+    """Replay ``steps`` into a fresh tree.  ``rt_for_all`` traces every
+    insert, which keeps them all on the incremental path; otherwise
+    only ``traced`` steps carry the runtime."""
+    layout = CodeLayout()
+    rt = Runtime(layout, main=layout.function("m", 8192))
+    space = AddressSpace()
+    tree = BPlusTree(space)
+    value = 0
+    for op, key, length, stride in steps:
+        if op == "delete":
+            tree.delete(key, rt if rt_for_all else None)
+        else:
+            keys = range(key, key + length * stride, stride) \
+                if op == "run" else (key,)
+            insert_rt = rt if rt_for_all or op == "traced" else None
+            for k in keys:
+                value += 1  # duplicates overwrite with a new value
+                tree.insert(k, value, insert_rt)
+        rt.take()
+    return tree, space
+
+
+def _nodes(tree):
+    """Every node, depth-first, as plain comparable fields."""
+    stack, out = [tree.root], []
+    while stack:
+        node = stack.pop()
+        out.append((node.leaf, node.addr, list(node.keys),
+                    list(node.values) if node.leaf
+                    else [child.addr for child in node.children],
+                    node.next_leaf.addr if node.next_leaf else None))
+        stack.extend(reversed(node.children))
+    return out
+
+
+class TestBPlusTreeAppendPath:
+    """The untraced append fast path builds exactly the tree the
+    incremental insert does: same nodes, same addresses, same links."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(steps=_tree_steps())
+    def test_fast_build_equals_incremental_build(self, steps):
+        fast, fast_space = _build(steps, rt_for_all=False)
+        slow, slow_space = _build(steps, rt_for_all=True)
+        assert _nodes(fast) == _nodes(slow)
+        assert (fast.height, fast.size, fast.node_count) == \
+            (slow.height, slow.size, slow.node_count)
+        assert fast_space.region("heap").cursor == \
+            slow_space.region("heap").cursor
+
+    def test_tpcc_population_matches_incremental(self):
+        """TPC-C's interleaved ascending and name-keyed inserts."""
+        trees = []
+        for rt_for_all in (False, True):
+            layout = CodeLayout()
+            rt = Runtime(layout, main=layout.function("m", 8192)) \
+                if rt_for_all else None
+            space = AddressSpace()
+            by_id, by_name = BPlusTree(space), BPlusTree(space)
+            for c in range(3_000):
+                by_id.insert(c, c, rt)
+                by_name.insert((c % 997) * 1_000_000 + c, c, rt)
+                if rt is not None:
+                    rt.take()
+            trees.append((_nodes(by_id), _nodes(by_name),
+                          space.region("heap").cursor))
+        assert trees[0] == trees[1]
+
+
 class TestDeliveryQueue:
     def test_delivery_drains_the_new_order_queue(self):
         space = AddressSpace()

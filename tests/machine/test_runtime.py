@@ -247,3 +247,105 @@ def test_property_every_pc_lies_inside_a_registered_function(calls):
     ranges = [(fn.base, fn.base + fn.size) for fn in layout.functions()]
     for uop in rt.take():
         assert any(low <= uop.pc < high for low, high in ranges), hex(uop.pc)
+
+
+_PROGRAM = st.lists(
+    st.tuples(st.sampled_from(["load", "store", "alu", "site", "branch",
+                               "indirect", "call", "ret", "os", "os_exit",
+                               "scan", "copy", "chase"]),
+              st.integers(0, 1_000)),
+    max_size=80)
+
+
+def _drive(rt, fns, program, scopes):
+    """Run ``program`` on ``rt``; ``scopes`` holds its open OS scopes."""
+    last = 0
+    for op, arg in program:
+        deps = (last,) if last else ()
+        if op == "load":
+            last = rt.load(0x1000 + 64 * arg, deps)
+        elif op == "store":
+            rt.store(0x2000 + 64 * arg, deps)
+        elif op == "alu":
+            last = rt.alu(deps, n=1 + arg % 12, chain=arg % 2 == 0)
+        elif op == "site":
+            last = rt.branch(arg % 2 == 0, deps, site=f"s{arg % 3}")
+        elif op == "branch":
+            last = rt.branch(arg % 3 != 0, deps)
+        elif op == "indirect":
+            rt.indirect_jump(arg, deps)
+        elif op == "call":
+            rt.call(fns[arg % len(fns)])
+        elif op == "ret" and rt._stack:
+            rt.ret()
+        elif op == "os":
+            scopes.append(rt.os_mode())
+        elif op == "os_exit" and scopes:
+            scopes.pop().__exit__(None, None, None)
+        elif op == "scan":
+            rt.scan(0x10000, 64 * (1 + arg % 8), write=arg % 2 == 1,
+                    work_per_line=arg % 3)
+        elif op == "copy":
+            rt.copy(0x20000, 0x30000, 64 * (1 + arg % 6),
+                    parallelism=1 + arg % 3)
+        elif op == "chase":
+            last = rt.pointer_chase(
+                [0x40000 + 4096 * i for i in range(1 + arg % 5)],
+                work_per_hop=arg % 2)
+
+
+def _state(rt):
+    return (rt.seq, rt._offset, rt._bb_left, rt.rng.getstate(), rt._fn,
+            list(rt._stack), rt._os_depth)
+
+
+def _fields(ops):
+    return [(u.kind, u.pc, u.addr, u.deps, u.seq, u.is_os, u.tid, u.taken,
+             u.target) for u in ops]
+
+
+class TestDiscardScope:
+    @staticmethod
+    def _pair():
+        layout = CodeLayout()
+        main = layout.function("main", 64 * 1024)
+        fns = [layout.function("loop", 16 * 1024, locality="loop"),
+               layout.function("small", 4 * 1024, bb_mean=3),
+               layout.function("kernel", 8 * 1024, os=True)]
+        return (Runtime(layout, seed=5, main=main),
+                Runtime(layout, seed=5, main=main), fns)
+
+    @settings(max_examples=40, deadline=None)
+    @given(program=_PROGRAM)
+    def test_leaves_the_state_emitting_would(self, program):
+        quiet, loud, fns = self._pair()
+        scopes = {quiet: [], loud: []}
+        with quiet.discard():
+            _drive(quiet, fns, program, scopes[quiet])
+        _drive(loud, fns, program, scopes[loud])
+        loud.take()
+        assert quiet.pending() == 0
+        assert _state(quiet) == _state(loud)
+        for rt in (quiet, loud):
+            _drive(rt, fns, program, scopes[rt])
+            while rt.pending() < 1_000:
+                _drive(rt, fns, [("load", 1), ("alu", 6), ("site", 1),
+                                 ("branch", 1), ("indirect", 7)], scopes[rt])
+        assert _fields(quiet.take()) == _fields(loud.take())
+
+    def test_emission_resumes_after_the_scope(self):
+        rt, _ = make_runtime()
+        with rt.discard():
+            rt.alu(n=50)
+            rt.branch(True, site="x")
+            assert rt.pending() == 0
+        rt.alu(n=3)
+        assert rt.pending() >= 3
+
+    def test_an_exception_closes_the_scope(self):
+        rt, _ = make_runtime()
+        with pytest.raises(KeyError):
+            with rt.discard():
+                raise KeyError("boom")
+        rt.load(0x40)
+        assert rt.pending() >= 1

@@ -162,6 +162,30 @@ class TestSweepCapturesOncePerTrace:
         assert TAPS.replays == len(cells)
 
 
+class TestTapsUnderWorkers:
+    """Taps count the coordinating process only; the progress line
+    must say so when cells ran in pool workers."""
+
+    def test_line_names_the_cells_that_ran_elsewhere(self, capsys):
+        from repro.__main__ import _report_trace_taps
+
+        cells = [Cell("single", name, WEE)
+                 for name in ("sat-solver", "specint-mcf")]
+        SweepEngine(jobs=2, use_cache=False).run(cells)
+        assert TAPS.worker_cells == 2
+        assert TAPS.captures == TAPS.replays == 0  # all in the workers
+        _report_trace_taps()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.rstrip().endswith(
+            "[this process only; 2 cell(s) ran in worker processes]")
+
+    def test_serial_line_has_no_worker_label(self):
+        SweepEngine().run([Cell("single", "sat-solver", WEE)])
+        assert TAPS.worker_cells == 0
+        assert "worker" not in TAPS.summary()
+
+
 class TestSchemaVersionInFingerprints:
     def test_trace_fingerprint_tracks_schema(self, monkeypatch):
         import sys

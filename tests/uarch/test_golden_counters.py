@@ -5,7 +5,10 @@
 use — a replayed capture, a live single thread, a live SMT pair, the
 synthetic groups' members, a four-core chip run in eight segments, a
 fault-injected capture, a 128-byte-line machine and a 4 MB LLC (one of
-the Figure 4 sweep sizes).  Any change to the core model that moves a
+the Figure 4 sweep sizes).  The replay, member and fault cases also
+hold the SHA-256 trailer of the captured trace's serialization, so a
+moved address, RNG draw or sequence number fails even where the
+counters happen to agree.  Any change to the core model that moves a
 counter fails here; a deliberate one regenerates the fixture with::
 
     PYTHONPATH=src python -m tests.uarch.test_golden_counters
@@ -26,6 +29,7 @@ from repro.faults.plan import FaultPlan
 from repro.trace.capture import TraceKey, build_app_for, capture
 from repro.trace.live import LiveSource
 from repro.trace.replay import replay_trace
+from repro.trace.store import serialize
 from repro.uarch.core import Core, CoreResult
 from repro.uarch.hierarchy import MemoryHierarchy
 from repro.uarch.params import MachineParams
@@ -42,14 +46,20 @@ FAULT_WINDOW = 8_000
 VARIANT_WORKLOADS = ("data-serving", "web-search", "sat-solver")
 
 
-def _record(result: CoreResult) -> dict:
-    return {"counters": dict(result.to_counters().values),
-            "per_thread_instructions": list(result.per_thread_instructions)}
+def _record(result: CoreResult, captured=None) -> dict:
+    record = {"counters": dict(result.to_counters().values),
+              "per_thread_instructions": list(result.per_thread_instructions)}
+    if captured is not None:
+        # The store container's own SHA-256 trailer: every trace byte.
+        record["capture_sha256"] = serialize(captured)[-32:].hex()
+    return record
 
 
-def _replayed(key: TraceKey, params: MachineParams) -> dict:
+def _replayed(key: TraceKey, params: MachineParams,
+              pin_trace: bool = False) -> dict:
     captured, _app = capture(key)
-    return _record(replay_trace(captured, params))
+    return _record(replay_trace(captured, params),
+                   captured if pin_trace else None)
 
 
 def _live(app, params: MachineParams, budgets: tuple[int, ...],
@@ -62,7 +72,7 @@ def _live(app, params: MachineParams, budgets: tuple[int, ...],
 
 def _case_replay(name: str) -> dict:
     return _replayed(TraceKey(name, window_uops=WINDOW, warm_uops=WARM),
-                     MachineParams())
+                     MachineParams(), pin_trace=True)
 
 
 def _case_live(name: str) -> dict:
@@ -80,7 +90,7 @@ def _case_member(name: str) -> dict:
     group, member = name.split(":")
     key = TraceKey(group, member=member, window_uops=WINDOW // 2,
                    warm_uops=WARM // 2)
-    return _replayed(key, MachineParams())
+    return _replayed(key, MachineParams(), pin_trace=True)
 
 
 def _case_chip(name: str) -> dict:
@@ -95,7 +105,7 @@ def _case_faults(name: str) -> dict:
     captured, app = capture(TraceKey(name, window_uops=FAULT_WINDOW,
                                      warm_uops=WARM, fault_plan=plan))
     assert app.faults.total_fired() > 0, f"no fault fired in {name}"
-    return _record(replay_trace(captured, MachineParams()))
+    return _record(replay_trace(captured, MachineParams()), captured)
 
 
 def _case_wide(name: str) -> dict:
