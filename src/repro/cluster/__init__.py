@@ -20,7 +20,7 @@ from repro.cluster.backend import ReplicaBackend, build_backend
 from repro.cluster.calibrate import (CalibrationConfig, FLEET_WORKLOADS,
                                      calibrate, calibration_fingerprint,
                                      static_model, uarch_digest)
-from repro.cluster.clock import Event, EventLoop
+from repro.cluster.clock import EventLoop
 from repro.cluster.costs import (COST_MODEL_SCHEMA, OP_CLASSES, OpCost,
                                  ServiceCostModel)
 from repro.cluster.faults import (CLUSTER_FAULT_KINDS, CLUSTER_FAULT_PLANS,
@@ -42,7 +42,6 @@ __all__ = [
     "ClusterFaultEvent",
     "ClusterFaultPlan",
     "ClusterService",
-    "Event",
     "EventLoop",
     "FLEET_WORKLOADS",
     "HashRing",

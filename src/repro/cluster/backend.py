@@ -42,6 +42,7 @@ class ReplicaBackend:
         # perturbing any other draw sequence in the simulation.
         self._rng = random.Random(
             stable_hash(("backend", node_id, seed, model.source)))
+        self._costs = model.cost_table()
         #: key -> highest applied write version (durable).
         self.versions: dict[int, int] = {}
         #: intended-owner node id -> [(key, version), ...] hinted writes
@@ -64,9 +65,10 @@ class ReplicaBackend:
         tick — on the way out.  Static tables (µs times 1000) convert
         back exactly.
         """
-        if op not in OP_CLASSES:
+        table = self._costs.get(op)
+        if table is None:
             raise unknown_op_error(op, OP_CLASSES)
-        sampled_ns = self.model.sample(op, self._rng.random())
+        sampled_ns = table.sample(self._rng.random())
         return max(1, int(round(sampled_ns / NS_PER_US)))
 
     # -- replica state -----------------------------------------------------

@@ -77,7 +77,10 @@ class LoadBalancer:
 
     def order(self, candidates: list[int], now: int) -> list[int]:
         """Routing order: healthy replicas first (preference-list order
-        preserved), ejected ones last as a quorum-of-last-resort."""
+        preserved), ejected ones last as a quorum-of-last-resort.  With
+        no node ejected or half-open that is ``candidates`` as given."""
+        if not self._ejected_until:
+            return candidates
         ranked = sorted(
             range(len(candidates)),
             key=lambda i: (0 if self.healthy(candidates[i], now) else 1, i))

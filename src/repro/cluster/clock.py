@@ -9,6 +9,10 @@ monotonically increasing tie-breaker, so two events scheduled for the
 same instant always fire in scheduling order.  Determinism therefore
 holds by construction: the same seeds schedule the same events in the
 same order on every interpreter.
+
+There is no cancellation and no early stop: every scheduled action
+fires and counts in ``fired`` (a summary's ``events_fired``), and a
+stale timer checks its request's ``done``/``settled`` flags instead.
 """
 
 from __future__ import annotations
@@ -17,83 +21,51 @@ import heapq
 from typing import Callable
 
 
-class Event:
-    """A handle to one scheduled action; ``cancel()`` makes it a no-op.
-
-    Cancellation is how request hedging discards the losing duplicate
-    and how a resolved request ignores its stale timeout timers: the
-    entry stays in the heap (removal would be O(n)) but the loop skips
-    it when popped.
-    """
-
-    __slots__ = ("when", "seq", "action", "cancelled")
-
-    def __init__(self, when: int, seq: int, action: Callable[[], None]):
-        self.when = when
-        self.seq = seq
-        self.action = action
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
-        self.action = _nothing
-
-
-def _nothing() -> None:
-    """The cancelled-event action (drops the original closure)."""
-
-
 class EventLoop:
     """A deterministic simulated-time event loop (integer microseconds)."""
 
     def __init__(self) -> None:
         self.now = 0
-        self._heap: list[tuple[int, int, Event]] = []
+        self._heap: list[tuple[int, int, Callable[[], None]]] = []
         self._seq = 0
         self.fired = 0
 
-    def at(self, when: int, action: Callable[[], None]) -> Event:
+    def at(self, when: int, action: Callable[[], None]) -> None:
         """Schedule ``action`` for absolute simulated time ``when``."""
         if when < self.now:
             raise ValueError(
                 f"cannot schedule into the past ({when} < now {self.now})")
-        event = Event(int(when), self._seq, action)
+        heapq.heappush(self._heap, (int(when), self._seq, action))
         self._seq += 1
-        heapq.heappush(self._heap, (event.when, event.seq, event))
-        return event
 
-    def after(self, delay: int, action: Callable[[], None]) -> Event:
+    def after(self, delay: int, action: Callable[[], None]) -> None:
         """Schedule ``action`` ``delay`` microseconds from now."""
         if delay < 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
-        return self.at(self.now + int(delay), action)
+        heapq.heappush(self._heap, (self.now + int(delay), self._seq, action))
+        self._seq += 1
 
     def __len__(self) -> int:
         return len(self._heap)
 
-    def run(self, until: Callable[[], bool] | None = None,
-            horizon: int | None = None) -> int:
+    def run(self, horizon: int | None = None) -> int:
         """Drain the heap in ``(when, seq)`` order; returns final time.
 
-        ``until`` (checked between events) stops the loop early once a
-        condition holds — the service uses it to stop once every
-        request has resolved, so self-rescheduling health probes do not
-        spin the loop forever.  ``horizon`` is a hard runaway guard: a
-        simulation that schedules past it raises instead of hanging the
-        sweep (the cluster analogue of the runaway-trace watchdog).
+        ``horizon`` is a hard runaway guard: a simulation that
+        schedules past it raises instead of hanging the sweep (the
+        cluster analogue of the runaway-trace watchdog).
         """
-        while self._heap:
-            if until is not None and until():
-                break
-            when, _seq, event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
-            if horizon is not None and when > horizon:
+        heap = self._heap
+        pop = heapq.heappop
+        limit = float("inf") if horizon is None else horizon
+        while heap:
+            when, _seq, action = pop(heap)
+            if when > limit:
                 raise RuntimeError(
                     f"simulation ran past its {horizon}us horizon "
                     f"(event at {when}us); the fleet cannot drain its "
                     "load — check arrival rate vs. service capacity")
             self.now = when
             self.fired += 1
-            event.action()
+            action()
         return self.now

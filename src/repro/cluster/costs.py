@@ -5,12 +5,13 @@ A :class:`ServiceCostModel` is a table of per-op-class latency
 where the numbers came from (``static`` hand-written tables or
 ``measured`` microarchitectural replay), which machine configuration
 produced them (the canonical ``uarch`` digest), and at what blade
-frequency cycles were converted.  :meth:`ServiceCostModel.sample` is
-the single point where a backend turns a uniform draw into a service
-time — an inverse-CDF walk over the quantile table, so a fleet run
-exercises a latency *distribution* rather than a scalar mean (what a
-tail-latency model actually needs), while a static model degenerates to
-the old constant per-op cost.
+frequency cycles were converted.  :meth:`OpCost.sample` is the single
+point where a uniform draw becomes a service time (backends keep the
+model's :meth:`~ServiceCostModel.cost_table` and sample the op's entry)
+— an inverse-CDF walk over the quantile table, so a fleet run exercises
+a latency *distribution* rather than a scalar mean (what a tail-latency
+model actually needs), while a static model degenerates to the old
+constant per-op cost.
 
 Tables are stored in nanoseconds because one replica request's CPU
 time on the simulated blade is sub-microsecond: integer-µs tables
@@ -102,15 +103,20 @@ class OpCost:
         quantile grid, piecewise-linear between points and clamped to
         p25/p95 at the tails (the table carries no information beyond
         them, so the model deliberately does not extrapolate)."""
-        points = [(rank, getattr(self, name))
-                  for name, rank in QUANTILE_POINTS]
-        if u <= points[0][0]:
-            return points[0][1]
-        for (lo_rank, lo), (hi_rank, hi) in zip(points, points[1:]):
-            if u <= hi_rank:
-                span = hi_rank - lo_rank
-                return int(round(lo + (hi - lo) * (u - lo_rank) / span))
-        return points[-1][1]
+        if u <= 0.25:
+            return self.p25
+        if u <= 0.50:
+            lo_rank, lo, hi_rank, hi = 0.25, self.p25, 0.50, self.p50
+        elif u <= 0.75:
+            lo_rank, lo, hi_rank, hi = 0.50, self.p50, 0.75, self.p75
+        elif u <= 0.95:
+            lo_rank, lo, hi_rank, hi = 0.75, self.p75, 0.95, self.p95
+        else:
+            return self.p95
+        # Computed, not written as a literal: 0.95 - 0.75 is not 0.2 in
+        # binary, and every sample depends on the exact quotient.
+        span = hi_rank - lo_rank
+        return int(round(lo + (hi - lo) * (u - lo_rank) / span))
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,8 @@ paper's single-blade model never needed: a bounded worker pool whose
 queueing delay is where tail latency is born, a per-node
 :class:`~repro.faults.plan.FaultPlan` interpreted on the node's own
 request clock (the same plans PR 1 introduced for single-node degraded
-modes), a per-node :class:`~repro.faults.metrics.ServiceMetrics`
-accumulator, and liveness/reachability state driven by the cluster
-fault plan (crash, slow node, partition).
+modes), and liveness/reachability state driven by the cluster fault
+plan (crash, slow node, partition).
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import random
 from dataclasses import dataclass
 
 from repro.cluster.backend import ReplicaBackend
-from repro.faults.metrics import ServiceMetrics
 from repro.faults.plan import FaultPlan
 from repro.machine.hashing import stable_hash
 
@@ -72,7 +70,6 @@ class Node:
         self.node_id = node_id
         self.backend = backend
         self.plan = plan if plan is not None and not plan.is_empty() else None
-        self.metrics = ServiceMetrics()
         self.counters = NodeCounters()
         self.up = True
         self.reachable = True
@@ -129,11 +126,12 @@ class Node:
         base = self.backend.cost(op)
         jitter = 1.0 + 0.25 * self._rng.random()
         service = max(1, int(base * inflation * jitter))
-        slot = min(range(len(self._slots)), key=self._slots.__getitem__)
-        start = max(now, self._slots[slot])
+        slots = self._slots
+        slot = slots.index(min(slots))
+        start = max(now, slots[slot])
         finish = start + service
-        self._slots[slot] = finish
-        queued = sum(1 for busy_until in self._slots if busy_until > now)
+        slots[slot] = finish
+        queued = sum(1 for busy_until in slots if busy_until > now)
         self.counters.queue_peak = max(self.counters.queue_peak, queued)
         self.counters.busy_us += service
         self.counters.served += 1
@@ -141,5 +139,4 @@ class Node:
             self.counters.reads += 1
         elif op == "update":
             self.counters.writes += 1
-        self.metrics.observe(finish - now, ok=True)
         return finish

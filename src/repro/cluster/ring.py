@@ -6,9 +6,16 @@ first R distinct nodes clockwise from the key's point.  Placement
 hashes go through :func:`~repro.machine.hashing.stable_hash`, so the
 ring — and therefore every shard assignment in a figure — is identical
 across processes and interpreters.
+
+The constructor also tabulates, for every point, the distinct nodes
+met walking clockwise from it, so a lookup is one ``stable_hash``, one
+bisection and a table read.  Nothing is memoized per key: placement
+stays a pure function of key and ring.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 from repro.machine.hashing import stable_hash
 
@@ -30,42 +37,35 @@ class HashRing:
         # Points collide only if stable_hash collides; break ties by
         # node id so even that case stays deterministic.
         points.sort()
-        self._points = points
+        self._hashes = [point_hash for point_hash, _node_id in points]
+        owners = [node_id for _point_hash, node_id in points]
+        # The walk from point i is its owner, then the walk from point
+        # i + 1 without that owner; seed the recurrence with the walk
+        # from point 0, which wraps round to close the ring.
+        walk = tuple(dict.fromkeys(owners))
+        walks: list[tuple[int, ...]] = [walk] * len(owners)
+        for index in range(len(owners) - 1, -1, -1):
+            owner = owners[index]
+            walk = (owner,) + tuple(n for n in walk if n != owner)
+            walks[index] = walk
+        self._walks = walks
 
     def _start_index(self, key: int | str) -> int:
         # repro-lint: pure -- placement must be a pure function of key and ring
         target = stable_hash(("ring-key", key))
-        lo, hi = 0, len(self._points)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._points[mid][0] < target:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo % len(self._points)
+        return bisect_left(self._hashes, target) % len(self._hashes)
 
-    def walk(self, key: int | str):
+    def walk(self, key: int | str) -> tuple[int, ...]:
         """Every node id, in ring order from ``key``, each once."""
-        seen: dict[int, bool] = {}
-        start = self._start_index(key)
-        for offset in range(len(self._points)):
-            node_id = self._points[(start + offset) % len(self._points)][1]
-            if node_id not in seen:
-                seen[node_id] = True
-                yield node_id
+        return self._walks[self._start_index(key)]
 
     def preference_list(self, key: int | str, count: int) -> list[int]:
         """The first ``count`` distinct nodes clockwise from ``key``."""
         if count < 1:
             raise ValueError("count must be positive")
-        nodes = []
-        for node_id in self.walk(key):
-            nodes.append(node_id)
-            if len(nodes) == count:
-                break
-        return nodes
+        return list(self.walk(key)[:count])
 
     def shard_of(self, key: int | str) -> int:
         # repro-lint: pure -- placement must be a pure function of key and ring
         """The key's home shard: the id of its primary replica."""
-        return self.preference_list(key, 1)[0]
+        return self.walk(key)[0]

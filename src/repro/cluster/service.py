@@ -166,19 +166,24 @@ class ClusterService:
         rng = self._request_rng(rid)
         key = self._keys.next()
         is_read = rng.random() < self.config.read_fraction
-        pref = self.ring.preference_list(key, self.config.replication)
+        walk = self.ring.walk(key)
+        replication = self.config.replication
+        pref = list(walk[:replication])
         if is_read:
+            # The backoff schedule is drawn from ``rng`` at the first
+            # retry: nothing else draws from it after ``is_read``, so
+            # the delays are the numbers an up-front draw would give.
             state = {
                 "rid": rid, "key": key, "intended": intended, "pref": pref,
                 "attempts": 0, "retries": 0, "outstanding": 0,
                 "hedged": False, "done": False, "timed_out": False,
-                "backoffs": self.policy.schedule(rng),
+                "rng": rng, "backoffs": None,
             }
             self._send_read(state, self._pick_target(state))
             self.loop.after(int(self.policy.hedge_after),
                             lambda: self._hedge(state))
         else:
-            self._start_write(rid, key, intended, pref)
+            self._start_write(key, intended, pref, walk[replication:])
 
     # -- read path ---------------------------------------------------------
     def _pick_target(self, state: dict) -> int:
@@ -253,7 +258,9 @@ class ClusterService:
         if state["done"]:
             return
         index = state["retries"]
-        if index < len(state["backoffs"]):
+        if index < self.policy.max_retries:
+            if state["backoffs"] is None:
+                state["backoffs"] = self.policy.schedule(state["rng"])
             state["retries"] += 1
             delay = int(state["backoffs"][index])
             self.loop.after(delay, lambda: self._retry_read(state))
@@ -306,16 +313,16 @@ class ClusterService:
         self.loop.at(finish, apply_repair)
 
     # -- write path --------------------------------------------------------
-    def _start_write(self, rid: int, key: int, intended: int,
-                     pref: list[int]) -> None:
+    def _start_write(self, key: int, intended: int, pref: list[int],
+                     extras: tuple[int, ...]) -> None:
         version = self._versions.get(key, 0) + 1
         self._versions[key] = version
         quorum = self.config.replication // 2 + 1
         network = self.config.network_us
 
         # Sloppy quorum: each down owner is substituted by the next
-        # available node on the ring walk, which holds a durable hint.
-        extras = [n for n in self.ring.walk(key) if n not in pref]
+        # available node on the ring walk past the preference list
+        # (``extras``), which holds a durable hint.
         assignments: list[tuple[int, str, int | None]] = []
         extra_index = 0
         for owner in pref:

@@ -19,6 +19,10 @@ import zlib
 #: (``bool`` is an ``int`` subclass; ``None`` is handled explicitly.)
 _SCALAR_TYPES = (int, float, str, bytes)
 
+#: Exact types :func:`stable_hash` accepts without calling
+#: :func:`_check_part`; subclasses and nested tuples still go through it.
+_PLAIN_TYPES = frozenset((int, float, str, bytes, bool, type(None)))
+
 
 def _check_part(part: object) -> None:
     """Reject parts whose ``repr`` is not a stable pure function of
@@ -67,6 +71,12 @@ def stable_hash(*parts: object) -> int:
         return hash(parts[0]) & 0x7FFFFFFFFFFFFFFF
     h = 0
     for part in parts:
-        _check_part(part)
+        kind = type(part)
+        if kind is tuple:
+            for item in part:
+                if type(item) not in _PLAIN_TYPES:
+                    _check_part(item)
+        elif kind not in _PLAIN_TYPES:
+            _check_part(part)
         h = zlib.crc32(repr(part).encode("utf-8", "surrogatepass"), h)
     return (h * 2654435761) & 0xFFFFFFFF

@@ -11,6 +11,7 @@ probe.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster.costs import (NS_PER_US, OP_CLASSES, OpCost,
                                  QUANTILE_POINTS, ServiceCostModel,
@@ -79,6 +80,40 @@ class TestOpCost:
         cost = OpCost(p25=100, p50=200, p75=400, p95=900)
         for name, rank in QUANTILE_POINTS:
             assert cost.sample(rank) == getattr(cost, name)
+
+    @settings(max_examples=80, deadline=None)
+    @given(steps=st.lists(st.integers(min_value=0, max_value=10 ** 9),
+                          min_size=4, max_size=4),
+           us=st.lists(st.one_of(st.floats(min_value=0.0, max_value=1.0),
+                                 st.sampled_from([0.0, 0.25, 0.5, 0.75,
+                                                  0.95, 1.0])),
+                       min_size=1, max_size=40))
+    def test_sample_matches_the_reference_formula(self, steps, us):
+        first = 1 + steps[0]
+        quantiles = [first + sum(steps[1:i + 1]) for i in range(4)]
+        cost = OpCost(*quantiles)
+        for u in us + [0.25, 0.5, 0.75, 0.95]:
+            assert cost.sample(u) == _reference_sample(cost, u), u
+
+    def test_last_segment_divides_by_the_computed_span(self):
+        # 0.95 - 0.75 is 0.19999999999999996: here the quotient lands on
+        # either side of .5, so a literal 0.2 would round to 1020.
+        cost = OpCost(p25=10, p50=20, p75=1000, p95=1195)
+        u = 0.7710256410256411
+        assert cost.sample(u) == _reference_sample(cost, u) == 1021
+
+
+def _reference_sample(cost: OpCost, u: float) -> int:
+    """The inverse CDF as first written: rebuild the points from the
+    quantile grid and walk its segments."""
+    points = [(rank, getattr(cost, name)) for name, rank in QUANTILE_POINTS]
+    if u <= points[0][0]:
+        return points[0][1]
+    for (lo_rank, lo), (hi_rank, hi) in zip(points, points[1:]):
+        if u <= hi_rank:
+            span = hi_rank - lo_rank
+            return int(round(lo + (hi - lo) * (u - lo_rank) / span))
+    return points[-1][1]
 
 
 # -- the model -------------------------------------------------------------

@@ -3,8 +3,51 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster.ring import HashRing
+from repro.machine.hashing import stable_hash
+
+
+def _reference_walk(node_ids: list[int], vnodes: int, key):
+    """The ring walk as first written: sort the points, binary-search
+    the key's hash, then scan the points one by one, yielding each node
+    the first time it is met."""
+    points = sorted((stable_hash(("ring-point", node_id, replica)), node_id)
+                    for node_id in node_ids for replica in range(vnodes))
+    target = stable_hash(("ring-key", key))
+    lo, hi = 0, len(points)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if points[mid][0] < target:
+            lo = mid + 1
+        else:
+            hi = mid
+    start = lo % len(points)
+    seen: dict[int, bool] = {}
+    for offset in range(len(points)):
+        node_id = points[(start + offset) % len(points)][1]
+        if node_id not in seen:
+            seen[node_id] = True
+            yield node_id
+
+
+@settings(max_examples=60, deadline=None)
+@given(node_ids=st.lists(st.integers(min_value=0, max_value=10_000),
+                         min_size=1, max_size=9, unique=True),
+       vnodes=st.integers(min_value=1, max_value=64),
+       keys=st.lists(st.one_of(st.integers(min_value=-2 ** 40,
+                                           max_value=2 ** 40),
+                               st.text(max_size=12)),
+                     min_size=1, max_size=8))
+def test_walk_table_matches_the_point_by_point_walk(node_ids, vnodes, keys):
+    ring = HashRing(node_ids, vnodes=vnodes)
+    for key in keys:
+        expected = list(_reference_walk(node_ids, vnodes, key))
+        assert list(ring.walk(key)) == expected
+        for count in range(1, len(node_ids) + 2):
+            assert ring.preference_list(key, count) == expected[:count]
+        assert ring.shard_of(key) == expected[0]
 
 
 def test_preference_list_is_distinct_and_sized():

@@ -5,8 +5,10 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import zlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.machine.hashing import stable_hash
 
@@ -84,6 +86,62 @@ def test_int_fast_path_skips_hardening_only_for_exact_int():
     # A single non-int part still goes through the checked path.
     with pytest.raises(TypeError):
         stable_hash(object())
+
+
+# ------------------------------------------------------ the reference fold
+class _Count(int):
+    """An ``int`` subclass: accepted, hashed by its (inherited) repr."""
+
+
+def _reference_hash(*parts) -> int:
+    """The docstring's definition, with no fast path but the single int."""
+    if len(parts) == 1 and type(parts[0]) is int:
+        return hash(parts[0]) & 0x7FFFFFFFFFFFFFFF
+    h = 0
+    for part in parts:
+        h = zlib.crc32(repr(part).encode("utf-8", "surrogatepass"), h)
+    return (h * 2654435761) & 0xFFFFFFFF
+
+
+_SCALARS = st.one_of(
+    st.integers(), st.integers(min_value=2 ** 64, max_value=2 ** 200),
+    st.integers(max_value=-1), st.booleans(), st.integers().map(_Count),
+    st.floats(), st.sampled_from([float("nan"), float("inf"),
+                                  float("-inf"), -0.0]),
+    st.text(max_size=8),
+    st.text(max_size=4).map(lambda text: text + "\ud800" + text),
+    st.binary(max_size=8), st.none())
+
+_NESTED = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=4)
+                       .map(tuple), max_leaves=12)
+
+_UNSTABLE = st.sampled_from([object, list, dict, set]).map(lambda kind:
+                                                            kind())
+
+
+@settings(max_examples=200, deadline=None)
+@given(parts=st.lists(_NESTED, max_size=4))
+def test_parts_hash_to_the_crc32_repr_fold(parts):
+    assert stable_hash(*parts) == _reference_hash(*parts)
+
+
+def _bury(value, path: list[int], siblings: list):
+    """``value`` nested ``len(path)`` tuples deep among ``siblings``."""
+    for index in path:
+        items = list(siblings)
+        items.insert(index % (len(items) + 1), value)
+        value = tuple(items)
+    return value
+
+
+@settings(max_examples=100, deadline=None)
+@given(bad=_UNSTABLE, path=st.lists(st.integers(0, 8), max_size=4),
+       siblings=st.lists(_SCALARS, max_size=3),
+       prefix=st.lists(_NESTED, max_size=2))
+def test_unstable_parts_are_refused_at_any_depth(bad, path, siblings,
+                                                 prefix):
+    with pytest.raises(TypeError, match="not guaranteed stable"):
+        stable_hash(*prefix, _bury(bad, path, siblings))
 
 
 # ------------------------------------------------- process invariance
