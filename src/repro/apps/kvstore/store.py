@@ -10,6 +10,8 @@ the real pointer and search dependences of an LSM read.
 
 from __future__ import annotations
 
+import bisect
+
 from repro.machine.address_space import AddressSpace
 from repro.machine.hashing import stable_hash
 from repro.machine.runtime import Runtime
@@ -64,7 +66,6 @@ class SSTable:
         self.table_id = table_id
         self.keys = sorted(keys)
         self.record_bytes = record_bytes
-        self._rank = {key: i for i, key in enumerate(self.keys)}
         # ~10 bits per key, the classic bloom sizing for ~1% FP rate.
         bloom_lines = max(1, len(keys) * 10 // 8 // _LINE + 1)
         self.bloom = SimArray(space, bloom_lines, _LINE)
@@ -79,7 +80,7 @@ class SSTable:
         for i in range(self.BLOOM_HASHES):
             slot = stable_hash(key, self.table_id, i) % self.bloom.count
             token = rt.load(self.bloom.addr(slot), (token,))
-        if key in self._rank:
+        if self.rank(key) is not None:
             return True
         # A real bloom filter sometimes says yes for absent keys.
         return stable_hash(key, self.table_id) % 1000 \
@@ -125,8 +126,17 @@ class SSTable:
             index += 1
         return addr
 
+    def rank(self, key: int) -> int | None:
+        """``key``'s index in the sorted run, or None when absent.  A
+        run never repeats a key: base tables are ranges, and L0 runs
+        drain the memtable, which holds each key once."""
+        rank = bisect.bisect_left(self.keys, key)
+        if rank < len(self.keys) and self.keys[rank] == key:
+            return rank
+        return None
+
     def record_addr(self, key: int) -> int | None:
-        rank = self._rank.get(key)
+        rank = self.rank(key)
         return None if rank is None else self.data.addr(rank)
 
 
@@ -243,7 +253,7 @@ class KeyValueStore:
         del self._compact_queue[: self.BACKGROUND_SLICE]
         victim = self._compacting
         for key in batch:
-            rank = victim._rank[key]
+            rank = victim.rank(key)
             token = rt.load(victim.data.addr(rank))  # sequential read...
             home = self.sstables[key % len(self.sstables)]
             target = home.record_addr(key)

@@ -78,10 +78,8 @@ class MapReduceApp(ServerApp):
         # Model layout in simulated memory: term dictionary + weight rows.
         heap_before = self.space.region("heap").cursor
         self.vocab_index = SimHashMap(self.space, nbuckets=self.vocab_size, node_bytes=48)
-        rt0 = self.runtime(0)
-        with rt0.discard():  # setup, not measured
-            for term in range(self.vocab_size):
-                self.vocab_index.put(rt0, term, term)
+        self.vocab_index.preload(
+            self.runtime(0), ((term, term) for term in range(self.vocab_size)))
         self.weights = SimArray(
             self.space, self.vocab_size, 8 * self.num_classes
         )

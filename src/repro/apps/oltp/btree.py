@@ -7,12 +7,15 @@ a *fully dependent* chain of node-header and key-area loads from root
 to leaf, followed by the row read.  There is no memory-level
 parallelism to extract from an index descent, which is why traditional
 transaction processing shows the lowest MLP in Figure 3.
+
+Population is untraced: :meth:`BPlusTree.extend` bulk-loads ascending
+keys into exactly the tree that one insert per key would build.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from repro.machine.address_space import AddressSpace
 from repro.machine.runtime import Runtime
@@ -45,27 +48,10 @@ class BPlusTree:
         self.root = self._new_node(leaf=True)
         self.height = 1
         self.size = 0
-        # The append fast path's cache: the rightmost leaf (None while
-        # a full internal node sits on the right spine) and the node
-        # count it was found at.  Every split allocates a node, so only
-        # a changed count can stale it.
-        self._tail: _Node | None = None
-        self._tail_nodes = 0
 
     def _new_node(self, leaf: bool) -> _Node:
         self.node_count += 1
         return _Node(leaf, self._space.alloc(_NODE_BYTES, "heap", align=_LINE))
-
-    def _find_tail(self) -> None:
-        """Re-walk the right spine into the fast path's cache."""
-        self._tail_nodes = self.node_count
-        self._tail = None
-        node = self.root
-        while not node.leaf:
-            if len(node.keys) >= self.ORDER:
-                return  # the next rightmost insert splits it
-            node = node.children[-1]
-        self._tail = node
 
     # -- traced access helpers -------------------------------------------
     @staticmethod
@@ -99,30 +85,82 @@ class BPlusTree:
 
     def insert(self, key: int, value: object, rt: Runtime | None = None,
                dep: int = 0) -> None:
-        if rt is None:
-            # Bulk population inserts mostly ascending keys.  A key
-            # above the rightmost leaf's last key is above every
-            # separator on the right spine too (no key right of a
-            # separator is below it), so when no node on that spine is
-            # full the incremental path below would only append it to
-            # that leaf: do just that.
-            if self._tail_nodes != self.node_count:
-                self._find_tail()
-            leaf = self._tail
-            if (leaf is not None and leaf.keys
-                    and len(leaf.keys) < self.ORDER and key > leaf.keys[-1]):
-                leaf.keys.append(key)
-                leaf.values.append(value)
-                self.size += 1
-                return
-        root = self.root
-        if len(root.keys) >= self.ORDER:
-            new_root = self._new_node(leaf=False)
-            new_root.children.append(root)
-            self._split_child(new_root, 0, rt)
-            self.root = new_root
-            self.height += 1
+        if len(self.root.keys) >= self.ORDER:
+            self._split_root(rt)
         self._insert_nonfull(self.root, key, value, rt, dep)
+
+    def extend(self, keys: Sequence[int], values: Sequence[object]) -> None:
+        """Untraced bulk load of strictly ascending ``keys``, all above
+        every key and separator in the tree (``ValueError`` otherwise).
+
+        Builds exactly the tree one untraced :meth:`insert` per key
+        builds: same nodes, addresses, links, height, size, node count
+        and heap cursor.  Such an insert descends the right spine,
+        splitting every full node on it, and appends to the rightmost
+        leaf; so each step here does those splits once, then appends
+        the :meth:`room` keys that go in before the next split.
+        """
+        if len(keys) != len(values):
+            raise ValueError("extend needs one value per key")
+        if not keys:
+            return
+        node = self.root
+        while True:
+            if node.keys and keys[0] <= node.keys[-1]:
+                raise ValueError(
+                    f"extend key {keys[0]} is not above {self.name}'s "
+                    f"right spine (last key {node.keys[-1]})")
+            if node.leaf:
+                break
+            node = node.children[-1]
+        start, count = 0, len(keys)
+        while start < count:
+            stop = min(count, start + self.room())
+            leaf = self._split_spine()
+            leaf.keys.extend(keys[start:stop])
+            leaf.values.extend(values[start:stop])
+            self.size += stop - start
+            start = stop
+
+    def room(self) -> int:
+        """How many ascending keys go in before the next split: the
+        first may split the full nodes on the right spine, and the rest
+        fill the rightmost leaf.  While such a split leaves a spine
+        node full, only that first key goes in, since the next insert
+        splits that node before descending.  A caller interleaving
+        another tree on the same heap loads one such run at a time."""
+        order = self.ORDER
+        node, parent_keys = self.root, None  # a split root gets a new one
+        while True:
+            keys = len(node.keys)
+            if keys >= order:  # split: its right half stays on the spine
+                if parent_keys is not None and parent_keys + 1 >= order:
+                    return 1
+                keys = order - order // 2 - (not node.leaf)
+            if node.leaf:
+                return order - keys
+            parent_keys = keys
+            node = node.children[-1]
+
+    def _split_root(self, rt: Runtime | None) -> None:
+        new_root = self._new_node(leaf=False)
+        new_root.children.append(self.root)
+        self._split_child(new_root, 0, rt)
+        self.root = new_root
+        self.height += 1
+
+    def _split_spine(self) -> _Node:
+        """Split every full node on the right spine, root first, as an
+        insert of a key above the tree descends; returns the rightmost
+        leaf."""
+        if len(self.root.keys) >= self.ORDER:
+            self._split_root(None)
+        node = self.root
+        while not node.leaf:
+            if len(node.children[-1].keys) >= self.ORDER:
+                self._split_child(node, len(node.children) - 1, None)
+            node = node.children[-1]
+        return node
 
     def _split_child(self, parent: _Node, index: int, rt: Runtime | None) -> None:
         child = parent.children[index]

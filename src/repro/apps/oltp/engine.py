@@ -9,6 +9,7 @@ structures that give traditional OLTP its high read-write sharing
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.apps.oltp.btree import BPlusTree
 from repro.machine.address_space import AddressSpace
@@ -47,6 +48,20 @@ class Table:
             for off in range(0, min(self.row_bytes, 4 * _LINE), _LINE):
                 rt.store(base + off)
         return slot
+
+    def load(self, keys: Sequence[int]) -> None:
+        """Untraced bulk :meth:`insert` of strictly ascending ``keys``
+        above every key in the table: each key gets the slot insert
+        would give it, wrap included (:meth:`BPlusTree.extend`)."""
+        start = self._next_slot
+        self._next_slot += len(keys)
+        first = start % self.capacity
+        if first + len(keys) <= self.capacity:
+            slots: Sequence[int] = range(first, first + len(keys))
+        else:
+            slots = [slot % self.capacity
+                     for slot in range(start, self._next_slot)]
+        self.index.extend(keys, slots)
 
     def read(self, key: int, rt: Runtime | None = None,
              lines: int | None = None, dep: int = 0) -> int | None:

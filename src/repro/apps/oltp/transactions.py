@@ -51,20 +51,24 @@ class TpccDatabase:
         self.populate()
 
     def populate(self) -> None:
-        for w in range(self.warehouses):
-            self.warehouse.insert(w)
-        for d in range(self.districts):
-            self.district.insert(d)
-        for c in range(self.districts * self.customers_per_district):
-            self.customer.insert(c)
-            # Last names collide (the spec's syllable scheme yields ~1000
-            # distinct names); the index key packs (name, customer id).
-            last_name = c % 997
-            self.customer_by_name.insert(last_name * 1_000_000 + c, c)
-        for i in range(self.items):
-            self.item.insert(i)
-        for s in range(self.warehouses * self.stock_per_warehouse):
-            self.stock.insert(s)
+        self.warehouse.load(range(self.warehouses))
+        self.district.load(range(self.districts))
+        # Customer ids load one leaf run at a time, so every split of
+        # the id index lands between the same name-index inserts as
+        # with one insert per id: both trees allocate from one heap.
+        customers = self.districts * self.customers_per_district
+        first = 0
+        while first < customers:
+            run = list(range(first, min(customers,
+                                        first + self.customer.index.room())))
+            self.customer.load(run)
+            for c in run:
+                # Last names collide (the spec's syllable scheme yields
+                # ~1000 distinct names); the key packs (name, id).
+                self.customer_by_name.insert((c % 997) * 1_000_000 + c, c)
+            first += len(run)
+        self.item.load(range(self.items))
+        self.stock.load(range(self.warehouses * self.stock_per_warehouse))
 
     # -- key helpers ------------------------------------------------------
     def _customer_key(self, district: int) -> int:
@@ -225,14 +229,10 @@ class TpceDatabase:
         self.trade = e.create_table("trade", 600_000, 256)
         self.holding = e.create_table("holding", 300_000, 256)
         self._next_trade = 0
-        for c in range(customers):
-            self.customer.insert(c)
-        for a in range(customers * 2):
-            self.account.insert(a)
-        for s in range(self.securities):
-            self.security.insert(s)
-        for h in range(60_000):
-            self.holding.insert(h)
+        self.customer.load(range(customers))
+        self.account.load(range(customers * 2))
+        self.security.load(range(self.securities))
+        self.holding.load(range(60_000))
 
     def trade_order(self, rt: Runtime, kernel: OsKernel) -> None:
         e = self.engine

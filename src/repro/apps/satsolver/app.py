@@ -60,10 +60,8 @@ class SatSolverApp(ServerApp):
         self._arena_cursor = 0
         from repro.machine.structures import SimHashMap
         self.query_cache = SimHashMap(self.space, nbuckets=1 << 14, node_bytes=64)
-        rt0 = self.runtime(0)
-        with rt0.discard():  # setup, not measured
-            for entry in range(12_000):
-                self.query_cache.put(rt0, entry, entry)
+        self.query_cache.preload(
+            self.runtime(0), ((entry, entry) for entry in range(12_000)))
         self._query_counter = 0
 
     def _new_instance(self) -> DpllSolver:

@@ -58,14 +58,10 @@ class WebBackendApp(ServerApp):
         self.events = self.engine.create_table("events", 60_000, 512)
         self.comments = self.engine.create_table("comments", 240_000, 256)
         self.tags = self.engine.create_table("tags", 2_000, 128)
-        for u in range(100_000):
-            self.users.insert(u)
-        for e in range(50_000):
-            self.events.insert(e)
-        for c in range(160_000):
-            self.comments.insert(c)
-        for t in range(2_000):
-            self.tags.insert(t)
+        self.users.load(range(100_000))
+        self.events.load(range(50_000))
+        self.comments.load(range(160_000))
+        self.tags.load(range(2_000))
         self._next_event = 50_000
         self._next_comment = 160_000
         self._cdf: list[tuple[float, str]] = []

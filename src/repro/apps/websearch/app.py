@@ -78,9 +78,7 @@ class WebSearchApp(ServerApp):
         self.index = InvertedIndex(
             self.space, self.num_terms, self.num_docs, seed=self.seed
         )
-        rt0 = self.runtime(0)
-        with rt0.discard():  # startup, not measured
-            self.index.load_dictionary(rt0)
+        self.index.load_dictionary(self.runtime(0))
         self._term_popularity = ZipfGenerator(self.num_terms, theta=0.9,
                                               seed=self.seed)
         self._req_buf = self.space.alloc(2048, "heap", align=_LINE)

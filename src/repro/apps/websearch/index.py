@@ -61,10 +61,11 @@ class InvertedIndex:
         self._materialized: dict[int, np.ndarray] = {}
 
     def load_dictionary(self, rt: Runtime) -> None:
-        """Populate the term dictionary (index load at startup)."""
+        """Populate the term dictionary (index load at startup,
+        untraced: :meth:`SimHashMap.preload`)."""
         nodes_start = self.space.region("heap").base + self.space.region("heap").cursor
-        for term in range(self.num_terms):
-            self.dictionary.put(rt, term, (int(self._offsets[term]), int(self.dfs[term])))
+        self.dictionary.preload(rt, enumerate(zip(
+            self._offsets[:self.num_terms].tolist(), self.dfs.tolist())))
         self._dict_loaded = True
         nodes_end = self.space.region("heap").base + self.space.region("heap").cursor
         # Buckets + the contiguous node slab: the dictionary's footprint.

@@ -20,7 +20,7 @@ from repro.cluster.backend import ReplicaBackend, build_backend
 from repro.cluster.calibrate import (CalibrationConfig, FLEET_WORKLOADS,
                                      calibrate, calibration_fingerprint,
                                      static_model, uarch_digest)
-from repro.cluster.clock import EventLoop
+from repro.cluster.clock import EventLoop, HorizonOverrunError
 from repro.cluster.costs import (COST_MODEL_SCHEMA, OP_CLASSES, OpCost,
                                  ServiceCostModel)
 from repro.cluster.faults import (CLUSTER_FAULT_KINDS, CLUSTER_FAULT_PLANS,
@@ -45,6 +45,7 @@ __all__ = [
     "EventLoop",
     "FLEET_WORKLOADS",
     "HashRing",
+    "HorizonOverrunError",
     "LatencyRecorder",
     "LoadBalancer",
     "Node",

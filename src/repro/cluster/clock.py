@@ -20,6 +20,13 @@ from __future__ import annotations
 import heapq
 from typing import Callable
 
+from repro.faults.watchdog import DeterministicRunError
+
+
+class HorizonOverrunError(DeterministicRunError):
+    """An event was scheduled past the run's horizon: the fleet cannot
+    drain its load, and rerunning the cell would schedule it again."""
+
 
 class EventLoop:
     """A deterministic simulated-time event loop (integer microseconds)."""
@@ -52,8 +59,9 @@ class EventLoop:
         """Drain the heap in ``(when, seq)`` order; returns final time.
 
         ``horizon`` is a hard runaway guard: a simulation that
-        schedules past it raises instead of hanging the sweep (the
-        cluster analogue of the runaway-trace watchdog).
+        schedules past it raises :class:`HorizonOverrunError` instead
+        of hanging the sweep (the cluster analogue of the runaway-trace
+        watchdog).
         """
         heap = self._heap
         pop = heapq.heappop
@@ -61,7 +69,7 @@ class EventLoop:
         while heap:
             when, _seq, action = pop(heap)
             if when > limit:
-                raise RuntimeError(
+                raise HorizonOverrunError(
                     f"simulation ran past its {horizon}us horizon "
                     f"(event at {when}us); the fleet cannot drain its "
                     "load — check arrival rate vs. service capacity")

@@ -12,7 +12,9 @@ supervised:
   pool respawned — innocent in-flight cells are re-queued uncharged);
 * a failed or timed-out cell is **retried** on the shared
   :class:`~repro.faults.retry.RetryPolicy` backoff schedule, jittered
-  deterministically per cell fingerprint;
+  deterministically per cell fingerprint — except one that raised a
+  :class:`~repro.faults.watchdog.DeterministicRunError` (a runaway
+  trace, an event-loop horizon overrun), which would only fail again;
 * a dead worker (``BrokenProcessPool`` — SIGKILL, OOM, segfault)
   poisons only the cells in flight: the **pool is respawned** and those
   cells re-queued.  The pool cannot attribute the death to one cell, so
@@ -43,6 +45,7 @@ from typing import TYPE_CHECKING
 from repro.blobstore import atomic_write, json_bytes
 from repro.core.validate import ValidationError
 from repro.faults.retry import RetryPolicy
+from repro.faults.watchdog import DeterministicRunError
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.core.sweep import Cell
@@ -236,7 +239,8 @@ class SweepSupervisor:
                                    waiting, failed)
                     except Exception as exc:  # worker raised: retry the cell
                         self._fail(task, f"{type(exc).__name__}: {exc}",
-                                   waiting, failed)
+                                   waiting, failed, final=isinstance(
+                                       exc, DeterministicRunError))
                     else:
                         try:
                             on_complete(task.index, task.cell,
@@ -286,10 +290,11 @@ class SweepSupervisor:
         # A hair past the earliest event so deadlines are strictly overdue.
         return max(0.0, min(budgets)) + 0.01
 
-    def _fail(self, task, reason: str, waiting, failed) -> None:
+    def _fail(self, task, reason: str, waiting, failed,
+              final: bool = False) -> None:
         task.errors.append(reason)
         task.attempts += 1
-        if task.attempts > self.policy.max_retries:
+        if final or task.attempts > self.policy.max_retries:
             failed.append(task)
             return
         delay = task.schedule[task.attempts - 1] if task.schedule else 0.0
@@ -350,12 +355,14 @@ def run_serial(pending: Sequence[tuple], execute: Callable,
     Worker-crash isolation and deadlines need a process boundary, but
     retries-with-backoff and incremental checkpointing apply equally to
     serial sweeps; a transient failure (or an invalid result caught by
-    ``on_complete``) is re-executed on the same policy schedule.
+    ``on_complete``) is re-executed on the same policy schedule, and a
+    :class:`~repro.faults.watchdog.DeterministicRunError` is not.
     """
     failed: list[dict] = []
     for index, cell, fingerprint in pending:
         task = _Task(index, cell, fingerprint, policy)
         while True:
+            final = False
             try:
                 on_complete(index, cell, fingerprint, execute(cell))
                 break
@@ -363,9 +370,10 @@ def run_serial(pending: Sequence[tuple], execute: Callable,
                 reason = str(exc)
             except Exception as exc:
                 reason = f"{type(exc).__name__}: {exc}"
+                final = isinstance(exc, DeterministicRunError)
             task.errors.append(reason)
             task.attempts += 1
-            if task.attempts > policy.max_retries:
+            if final or task.attempts > policy.max_retries:
                 failed.append(task.failure_record())
                 break
             delay = task.schedule[task.attempts - 1] if task.schedule else 0.0

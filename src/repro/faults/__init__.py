@@ -32,9 +32,11 @@ from repro.faults.injector import FaultInjector
 from repro.faults.metrics import ServiceMetrics
 from repro.faults.plan import FAULT_KINDS, FaultEvent, FaultPlan
 from repro.faults.retry import RetryPolicy
-from repro.faults.watchdog import RunawayTraceError, guard_trace
+from repro.faults.watchdog import (DeterministicRunError, RunawayTraceError,
+                                   guard_trace)
 
 __all__ = [
+    "DeterministicRunError",
     "FAULT_KINDS",
     "FaultEvent",
     "FaultPlan",

@@ -20,7 +20,13 @@ TRACE_ALLOWANCE = 100_000
 MAX_SILENT_SERVES = 256
 
 
-class RunawayTraceError(RuntimeError):
+class DeterministicRunError(RuntimeError):
+    """A run failed in a way that repeats on every attempt: the
+    simulation is a pure function of its cell, so the sweep supervisor
+    fails such a cell at its first attempt instead of retrying it."""
+
+
+class RunawayTraceError(DeterministicRunError):
     """A workload trace blew through its micro-op budget or stalled."""
 
 

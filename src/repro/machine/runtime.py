@@ -18,8 +18,7 @@ tokens as ``deps`` to later operations that consume their results.
 from __future__ import annotations
 
 import random
-from contextlib import contextmanager
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro.machine.codelayout import CodeLayout, Function
 from repro.machine.hashing import stable_hash
@@ -131,28 +130,6 @@ class Runtime:
                 taken, target, new_offset = False, pc + 4, offset + 4
         self._offset = new_offset
         return pc, taken, target
-
-    def _skip(self, kind: int, addr: int = 0, deps: tuple[int, ...] = (),
-              taken: bool = False, target: int = 0) -> int:
-        """:meth:`_emit` inside :meth:`discard`: the same state, no op."""
-        offset = self._offset
-        if offset >= self._fn.size:
-            offset = 0
-        self._offset = offset + 4
-        self.seq += 1
-        self._bb_left -= 1
-        if self._bb_left <= 0:
-            self._end_basic_block()
-        return self.seq
-
-    def _skip_branch(self, taken: bool, deps: Iterable[int] = (),
-                     site: str | None = None) -> int:
-        """:meth:`branch` inside :meth:`discard`.  A site branch moves
-        nothing but ``seq``; a siteless one draws its target as usual."""
-        if site is None:
-            return type(self).branch(self, taken, deps)
-        self.seq += 1
-        return self.seq
 
     # -- public tracing API -------------------------------------------------
     def load(self, addr: int, deps: Iterable[int] = ()) -> int:
@@ -272,23 +249,29 @@ class Runtime:
         self._os_depth += 1
         return Runtime._OsScope(self)
 
-    @contextmanager
-    def discard(self) -> Iterator["Runtime"]:
-        """Run unmeasured work (an app's startup load) without ops.
+    def skip(self, n: int) -> None:
+        """Advance past ``n`` plain ops (loads, stores, ALU ops) that
+        are never built: an app's startup load, which nothing measures.
 
-        Inside the scope every call advances exactly the state emitting
-        would: ``seq``, the PC offset, the basic-block countdown and
-        its RNG draws, branch-direction draws, the call stack and the
-        OS depth.  No :class:`MicroOp` is built, so the stream after
-        the scope equals the one left by emitting and then
-        :meth:`take`-ing the ops away, at a fraction of the cost.
-        Scopes do not nest.
+        ``seq``, the PC offset, the basic-block countdown and its RNG
+        draws end where emitting the ops and :meth:`take`-ing them away
+        would leave them, so the stream after the skip is unchanged.
+        The walk goes one basic block at a time; within a block the PC
+        offset wraps around the function body in closed form.
         """
-        self._emit, self.branch = self._skip, self._skip_branch
-        try:
-            yield self
-        finally:
-            del self._emit, self.branch
+        fn = self._fn
+        slots = (fn.size + 3) >> 2  # 4-byte PC slots in the body
+        while n > 0:
+            step = min(n, self._bb_left)
+            offset = self._offset
+            if offset >= fn.size:
+                offset = 0
+            self._offset = ((offset >> 2) + step - 1) % slots * 4 + 4
+            self.seq += step
+            self._bb_left -= step
+            n -= step
+            if self._bb_left <= 0:
+                self._end_basic_block()
 
     # -- bulk helpers --------------------------------------------------------
     def scan(

@@ -108,6 +108,33 @@ class SimHashMap:
         self._values[key] = value
         self.size += 1
 
+    def preload(self, rt: Runtime,
+                items: Iterable[tuple[Hashable, object]]) -> None:
+        """:meth:`put` every ``(key, value)`` in order, untraced: an
+        app's startup load.
+
+        Chains, values, node addresses and the heap cursor end as the
+        puts leave them, and ``rt`` moves past the ops they would emit
+        in one :meth:`~repro.machine.runtime.Runtime.skip`: 6 plus the
+        chain length for a new key, 5 plus its chain position for an
+        existing one.
+        """
+        chains, values = self._chains, self._values
+        ops = 0
+        for key, value in items:
+            chain = chains.setdefault(self._bucket(key), [])
+            for position, (existing_key, _node) in enumerate(chain):
+                if existing_key == key:
+                    ops += 5 + position
+                    break
+            else:
+                ops += 6 + len(chain)
+                chain.insert(0, (key, self._space.alloc(self.node_bytes,
+                                                        self._region)))
+                self.size += 1
+            values[key] = value
+        rt.skip(ops)
+
     def get(self, rt: Runtime, key: Hashable) -> object | None:
         bucket = self._bucket(key)
         hash_token = rt.alu(n=2)

@@ -1,6 +1,7 @@
 """Data Serving: storage-engine semantics and request-path behaviour."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apps.kvstore import DataServingApp
 from repro.apps.kvstore.store import KeyValueStore, Memtable, SSTable
@@ -64,6 +65,34 @@ class TestSSTable:
         table = SSTable(space, 0, [1, 2, 3], 256)
         addresses = {table.record_addr(k) for k in (1, 2, 3)}
         assert len(addresses) == 3
+
+
+class TestSSTableRank:
+    """``rank`` against a dict over the run's sorted keys."""
+
+    @staticmethod
+    def _check(table, keys, probes):
+        ranks = {key: i for i, key in enumerate(sorted(keys))}
+        for key in list(keys) + list(probes):
+            assert table.rank(key) == ranks.get(key), key
+
+    def test_base_tables(self, space):
+        """Each base table is a strided range of record ids."""
+        for table_id in range(4):
+            keys = list(range(table_id, 3_000, 4))
+            table = SSTable(space, table_id, keys, 256)
+            self._check(table, keys, range(-5, 3_005))
+
+    @settings(max_examples=40, deadline=None)
+    @given(keys=st.lists(st.integers(0, 5_000), unique=True, max_size=300),
+           probes=st.lists(st.integers(-10, 5_010), max_size=60))
+    def test_l0_runs(self, keys, probes):
+        """An L0 run is a memtable drain: distinct keys, insertion order."""
+        table = SSTable(AddressSpace(), 9, keys, 256)
+        self._check(table, keys, probes)
+
+    def test_empty_run(self, space):
+        self._check(SSTable(space, 5, [], 256), [], [0, 1])
 
 
 class TestKeyValueStore:

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.oltp import BPlusTree, StorageEngine, TpccApp, TpceApp
+from repro.apps.oltp.engine import Table
 from repro.apps.oltp.transactions import TpccDatabase
+from repro.core.workloads import build_app
 from repro.machine.address_space import AddressSpace
 from repro.machine.codelayout import CodeLayout
 from repro.machine.runtime import Runtime
@@ -274,27 +276,37 @@ def _tree_steps():
     return st.lists(st.one_of(run, single), min_size=1, max_size=30)
 
 
-def _build(steps, rt_for_all):
-    """Replay ``steps`` into a fresh tree.  ``rt_for_all`` traces every
-    insert, which keeps them all on the incremental path; otherwise
-    only ``traced`` steps carry the runtime."""
+def _build(steps, bulk, order=BPlusTree.ORDER):
+    """Replay ``steps`` into a fresh table, the reference one key at a
+    time.  With ``bulk`` each run goes through :meth:`Table.load`
+    (so :meth:`BPlusTree.extend`); otherwise through one untraced
+    insert per key.  A run starts above every key inserted so far, as
+    ``load`` requires; stray keys, deletes and traced inserts take the
+    same path either way.  The small capacity makes slots wrap, and a
+    small ``order`` makes a few hundred keys split up to the root."""
     layout = CodeLayout()
     rt = Runtime(layout, main=layout.function("m", 8192))
     space = AddressSpace()
-    tree = BPlusTree(space)
-    value = 0
+    table = Table(space, "t", capacity=700, row_bytes=64)
+    table.index.ORDER = order
+    top = None
     for op, key, length, stride in steps:
         if op == "delete":
-            tree.delete(key, rt if rt_for_all else None)
+            table.index.delete(key)
+        elif op == "run":
+            first = key if top is None or key > top else top + 1
+            keys = range(first, first + length * stride, stride)
+            if bulk:
+                table.load(keys)
+            else:
+                for k in keys:
+                    table.insert(k)
+            top = keys[-1]
         else:
-            keys = range(key, key + length * stride, stride) \
-                if op == "run" else (key,)
-            insert_rt = rt if rt_for_all or op == "traced" else None
-            for k in keys:
-                value += 1  # duplicates overwrite with a new value
-                tree.insert(k, value, insert_rt)
+            table.insert(key, rt if op == "traced" else None)
+            top = key if top is None else max(top, key)
         rt.take()
-    return tree, space
+    return table, space, top
 
 
 def _nodes(tree):
@@ -310,38 +322,126 @@ def _nodes(tree):
     return out
 
 
-class TestBPlusTreeAppendPath:
-    """The untraced append fast path builds exactly the tree the
-    incremental insert does: same nodes, same addresses, same links."""
+def _shape(tree, space):
+    return (_nodes(tree), tree.height, tree.size, tree.node_count,
+            space.region("heap").cursor)
 
-    @settings(max_examples=40, deadline=None)
-    @given(steps=_tree_steps())
-    def test_fast_build_equals_incremental_build(self, steps):
-        fast, fast_space = _build(steps, rt_for_all=False)
-        slow, slow_space = _build(steps, rt_for_all=True)
-        assert _nodes(fast) == _nodes(slow)
-        assert (fast.height, fast.size, fast.node_count) == \
-            (slow.height, slow.size, slow.node_count)
-        assert fast_space.region("heap").cursor == \
-            slow_space.region("heap").cursor
 
-    def test_tpcc_population_matches_incremental(self):
-        """TPC-C's interleaved ascending and name-keyed inserts."""
+def _keys_before_next_split(tree, first):
+    """Insert ascending keys from ``first`` one at a time; how many go
+    in before one allocates a node (splits at the first one count as
+    that key's own)."""
+    tree.insert(first, 0)
+    count = 1
+    while True:
+        nodes = tree.node_count
+        tree.insert(first + count, 0)
+        if tree.node_count != nodes:
+            return count
+        count += 1
+
+
+class TestBulkLoad:
+    """:meth:`BPlusTree.extend` and :meth:`Table.load` build exactly the
+    tree one untraced insert per key builds: same nodes, addresses,
+    links, height, size, node count, heap cursor and slots."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(steps=_tree_steps(), order=st.sampled_from([3, 4, 32]))
+    def test_load_equals_per_key_inserts(self, steps, order):
+        bulk, bulk_space, _ = _build(steps, True, order)
+        reference, reference_space, _ = _build(steps, False, order)
+        assert _shape(bulk.index, bulk_space) == \
+            _shape(reference.index, reference_space)
+        assert bulk._next_slot == reference._next_slot
+
+    @settings(max_examples=60, deadline=None)
+    @given(steps=_tree_steps(), order=st.sampled_from([3, 4, 32]))
+    def test_room_counts_the_keys_before_the_next_split(self, steps, order):
+        table, _, top = _build(steps, False, order)
+        room = table.index.room()
+        assert room == _keys_before_next_split(
+            table.index, 0 if top is None else top + 1)
+
+    def test_root_splits_on_a_long_ascending_run(self):
+        """Over 20,000 keys the root splits twice; a step that appended
+        a full leaf's worth after a split left the root full would put
+        those splits late and move every later address."""
+        keys = list(range(-7, 3 * 21_000, 3))
         trees = []
-        for rt_for_all in (False, True):
-            layout = CodeLayout()
-            rt = Runtime(layout, main=layout.function("m", 8192)) \
-                if rt_for_all else None
+        for bulk in (True, False):
             space = AddressSpace()
-            by_id, by_name = BPlusTree(space), BPlusTree(space)
-            for c in range(3_000):
-                by_id.insert(c, c, rt)
-                by_name.insert((c % 997) * 1_000_000 + c, c, rt)
-                if rt is not None:
-                    rt.take()
-            trees.append((_nodes(by_id), _nodes(by_name),
-                          space.region("heap").cursor))
+            tree = BPlusTree(space)
+            tree.insert(10**9, "stray")  # a key above the run, deleted
+            tree.delete(10**9)
+            values = [f"v{k}" for k in keys]
+            if bulk:
+                tree.extend(keys[:5], values[:5])
+                tree.extend(keys[5:], values[5:])
+            else:
+                for key, value in zip(keys, values):
+                    tree.insert(key, value)
+            trees.append(_shape(tree, space))
         assert trees[0] == trees[1]
+        assert trees[0][1] == 4  # height: the root split twice
+
+    def test_extend_rejects_keys_not_above_the_right_spine(self, space):
+        tree = BPlusTree(space)
+        tree.extend(range(100), range(100))
+        with pytest.raises(ValueError, match="right spine"):
+            tree.extend([99, 100], [0, 0])
+        with pytest.raises(ValueError, match="one value per key"):
+            tree.extend([100, 101], [0])
+        tree.extend([], [])
+        assert [k for k, _ in tree.items()] == list(range(100))
+
+
+def _per_key_load(table, keys):
+    for key in keys:
+        table.insert(key)
+
+
+def _per_key_tpcc_populate(db):
+    """TpccDatabase.populate with one insert per key."""
+    for w in range(db.warehouses):
+        db.warehouse.insert(w)
+    for d in range(db.districts):
+        db.district.insert(d)
+    for c in range(db.districts * db.customers_per_district):
+        db.customer.insert(c)
+        db.customer_by_name.insert((c % 997) * 1_000_000 + c, c)
+    for i in range(db.items):
+        db.item.insert(i)
+    for s in range(db.warehouses * db.stock_per_warehouse):
+        db.stock.insert(s)
+
+
+def _app_trees(app):
+    trees = [(name, table.index, table._next_slot)
+             for name, table in app.engine.tables.items()]
+    db = getattr(app, "db", None)
+    if isinstance(db, TpccDatabase):
+        trees.append(("customer.lastname", db.customer_by_name, None))
+    return [(name, _shape(tree, app.space), slot)
+            for name, tree, slot in trees]
+
+
+class TestFullSizePopulates:
+    """Each OLTP app's bulk populate against one insert per key."""
+
+    @pytest.mark.parametrize("name", ["tpc-c", "tpc-e", "web-backend"])
+    def test_populate_equals_per_key_inserts(self, name, monkeypatch):
+        bulk = build_app(name, seed=7)
+        bulk_trees = _app_trees(bulk)
+        bulk_cursors = {region: r.cursor
+                        for region, r in bulk.space.regions.items()}
+        del bulk
+        monkeypatch.setattr(Table, "load", _per_key_load)
+        monkeypatch.setattr(TpccDatabase, "populate", _per_key_tpcc_populate)
+        reference = build_app(name, seed=7)
+        assert bulk_trees == _app_trees(reference)
+        assert bulk_cursors == {region: r.cursor for region, r
+                                in reference.space.regions.items()}
 
 
 class TestDeliveryQueue:

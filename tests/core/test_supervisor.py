@@ -25,8 +25,10 @@ from repro.core.supervise import (
     SweepCheckpoint,
     sweep_digest,
 )
+from repro.cluster.clock import EventLoop, HorizonOverrunError
 from repro.core.sweep import Cell, SweepEngine, _cell_worker
 from repro.faults.retry import RetryPolicy
+from repro.faults.watchdog import DeterministicRunError, RunawayTraceError
 
 WEE = RunConfig(window_uops=6_000, warm_uops=2_000)
 NAMES = ("sat-solver", "mapreduce", "web-search")
@@ -74,6 +76,26 @@ def _always_raises_worker(task):
     if (_flag_dir() / f"doomed-{cell.name}").exists():  # never consumed
         raise RuntimeError("injected permanent failure")
     return _cell_worker(task)
+
+
+def _raise_counted(task, exc_type):
+    """Record one attempt for the cell, then fail it."""
+    cell, _use_cache = task
+    with open(_flag_dir() / f"attempts-{cell.name}", "a") as log:
+        log.write(".")
+    raise exc_type(f"injected {exc_type.__name__}")
+
+
+def _horizon_worker(task):
+    _raise_counted(task, HorizonOverrunError)
+
+
+def _runaway_worker(task):
+    _raise_counted(task, RunawayTraceError)
+
+
+def _plain_error_worker(task):
+    _raise_counted(task, RuntimeError)
 
 
 def _recording_worker(task):
@@ -159,6 +181,36 @@ class TestCrashIsolation:
         # The healthy cell finished and was persisted before the raise.
         healthy_print = Cell("single", NAMES[1], WEE).fingerprint()
         assert store.get(healthy_print) is not None
+
+
+class TestDeterministicFailures:
+    """A cell raising a DeterministicRunError fails at its first
+    attempt; any other exception keeps its retries."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("worker, attempts", [
+        (_horizon_worker, 1),
+        (_runaway_worker, 1),
+        (_plain_error_worker, 1 + FAST.max_retries),
+    ])
+    def test_attempts_per_cell(self, flag_dir, jobs, worker, attempts):
+        engine = SweepEngine(jobs=jobs, use_cache=False, retry=FAST,
+                             worker=worker)
+        with pytest.raises(SweepCellError) as exc:
+            engine.run(_cells())
+        assert len(exc.value.failures) == len(NAMES)
+        assert all(f["attempts"] == attempts for f in exc.value.failures)
+        for name in NAMES:
+            assert (flag_dir / f"attempts-{name}").read_text() \
+                == "." * attempts
+
+    def test_horizon_overrun_is_deterministic(self):
+        assert issubclass(HorizonOverrunError, DeterministicRunError)
+        assert issubclass(RunawayTraceError, DeterministicRunError)
+        loop = EventLoop()
+        loop.at(200, lambda: None)
+        with pytest.raises(HorizonOverrunError, match="horizon"):
+            loop.run(horizon=100)
 
 
 class TestSerialSupervision:

@@ -304,48 +304,56 @@ def _fields(ops):
              u.target) for u in ops]
 
 
-class TestDiscardScope:
-    @staticmethod
-    def _pair():
-        layout = CodeLayout()
-        main = layout.function("main", 64 * 1024)
-        fns = [layout.function("loop", 16 * 1024, locality="loop"),
-               layout.function("small", 4 * 1024, bb_mean=3),
-               layout.function("kernel", 8 * 1024, os=True)]
-        return (Runtime(layout, seed=5, main=main),
-                Runtime(layout, seed=5, main=main), fns)
+def runtime_pair():
+    """Two identical runtimes and the functions ``_drive`` calls."""
+    layout = CodeLayout()
+    main = layout.function("main", 64 * 1024)
+    fns = [layout.function("loop", 16 * 1024, locality="loop"),
+           layout.function("small", 4 * 1024, bb_mean=3),
+           layout.function("kernel", 8 * 1024, os=True),
+           # Blocks far longer than the body: the offset wraps many
+           # times inside one block.
+           layout.function("long_blocks", 1024, bb_mean=3_000)]
+    return (Runtime(layout, seed=5, main=main),
+            Runtime(layout, seed=5, main=main), fns)
 
-    @settings(max_examples=40, deadline=None)
-    @given(program=_PROGRAM)
-    def test_leaves_the_state_emitting_would(self, program):
-        quiet, loud, fns = self._pair()
+
+class TestSkip:
+    """``skip(n)`` against ``n`` emitted plain ops taken away."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(program=_PROGRAM, n=st.integers(0, 30_000))
+    def test_leaves_the_state_emitting_would(self, program, n):
+        quiet, loud, fns = runtime_pair()
         scopes = {quiet: [], loud: []}
-        with quiet.discard():
-            _drive(quiet, fns, program, scopes[quiet])
-        _drive(loud, fns, program, scopes[loud])
+        for rt in (quiet, loud):
+            _drive(rt, fns, program, scopes[rt])
+            rt.take()
+        quiet.skip(n)
+        loud.alu(n=n, chain=False)
         loud.take()
         assert quiet.pending() == 0
         assert _state(quiet) == _state(loud)
         for rt in (quiet, loud):
-            _drive(rt, fns, program, scopes[rt])
             while rt.pending() < 1_000:
                 _drive(rt, fns, [("load", 1), ("alu", 6), ("site", 1),
                                  ("branch", 1), ("indirect", 7)], scopes[rt])
         assert _fields(quiet.take()) == _fields(loud.take())
 
-    def test_emission_resumes_after_the_scope(self):
-        rt, _ = make_runtime()
-        with rt.discard():
-            rt.alu(n=50)
-            rt.branch(True, site="x")
-            assert rt.pending() == 0
-        rt.alu(n=3)
-        assert rt.pending() >= 3
+    def test_wraps_inside_one_block(self):
+        quiet, loud, fns = runtime_pair()
+        for rt in (quiet, loud):
+            rt.call(fns[3])
+            rt._bb_left = 10_000  # one block across 39 wraps of the body
+        quiet.skip(9_999)
+        loud.alu(n=9_999, chain=False)
+        loud.take()
+        assert _state(quiet) == _state(loud)
+        assert quiet._bb_left == 1
 
-    def test_an_exception_closes_the_scope(self):
+    def test_zero_is_a_no_op(self):
         rt, _ = make_runtime()
-        with pytest.raises(KeyError):
-            with rt.discard():
-                raise KeyError("boom")
-        rt.load(0x40)
-        assert rt.pending() >= 1
+        before = _state(rt)
+        rt.skip(0)
+        assert _state(rt) == before
+        assert rt.pending() == 0

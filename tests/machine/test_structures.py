@@ -8,6 +8,13 @@ from repro.machine.codelayout import CodeLayout
 from repro.machine.runtime import Runtime
 from repro.machine.structures import SimArray, SimHashMap, SimRingBuffer
 from repro.uarch.uop import OpKind
+from tests.machine.test_runtime import (
+    _PROGRAM,
+    _drive,
+    _fields,
+    _state,
+    runtime_pair,
+)
 
 
 @pytest.fixture()
@@ -104,6 +111,55 @@ class TestSimHashMap:
         for key, value in items.items():
             assert table.get(rt, key) == value
         assert len(table) == len(items)
+
+
+class TestPreload:
+    """``preload`` against one traced ``put`` per item, with the
+    emitted ops taken away."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(items=st.lists(
+               st.tuples(st.one_of(st.integers(0, 60),
+                                   st.sampled_from(["a", "b", ("t", 1)])),
+                         st.integers()),
+               max_size=150),
+           nbuckets=st.integers(1, 12), program=_PROGRAM)
+    def test_equals_traced_puts(self, items, nbuckets, program):
+        quiet, loud, fns = runtime_pair()
+        scopes = {quiet: [], loud: []}
+        maps = {}
+        for rt in (quiet, loud):
+            _drive(rt, fns, program, scopes[rt])
+            rt.take()
+            space = AddressSpace()
+            maps[rt] = (SimHashMap(space, nbuckets), space)
+        quiet_map, quiet_space = maps[quiet]
+        loud_map, loud_space = maps[loud]
+        quiet_map.preload(quiet, items)
+        for key, value in items:
+            loud_map.put(loud, key, value)
+        loud.take()
+        assert quiet.pending() == 0
+        assert quiet_map._chains == loud_map._chains
+        assert quiet_map._values == loud_map._values
+        assert quiet_map.size == loud_map.size
+        assert quiet_space.region("heap").cursor == \
+            loud_space.region("heap").cursor
+        assert _state(quiet) == _state(loud)
+        for rt in (quiet, loud):
+            while rt.pending() < 1_000:
+                _drive(rt, fns, [("load", 1), ("alu", 6), ("site", 1)],
+                       scopes[rt])
+        assert _fields(quiet.take()) == _fields(loud.take())
+
+    def test_counts_ops_by_chain_position(self):
+        quiet, loud, _ = runtime_pair()
+        table = SimHashMap(AddressSpace(), 1)  # one chain
+        table.preload(quiet, [(1, "a"), (2, "b"), (1, "c")])
+        # New keys: 6 + chain length (0, then 1); key 1 is now second.
+        loud.alu(n=6 + 7 + 6)
+        assert _state(quiet) == _state(loud)
+        assert table.contains(1) and len(table) == 2
 
 
 class TestRingBuffer:

@@ -77,6 +77,37 @@ class TestMaterialize:
         assert again is app
         assert TAPS.memo_hits == 1
 
+    def test_memo_keeps_the_app_only_when_asked(self):
+        key = TraceKey("sat-solver", window_uops=6_000, warm_uops=2_000)
+        _, app = materialize(key, use_store=False)
+        assert app is not None  # a fresh capture still returns its app
+        _, hit = materialize(key, use_store=False)
+        assert hit is None
+        assert TAPS.memo_hits == 1
+        # A require_app hit on that entry recaptures, then keeps its app.
+        _, kept = materialize(key, use_store=False, require_app=True)
+        assert kept is not None and kept is not app
+        assert TAPS.captures == 2
+        _, again = materialize(key, use_store=False)
+        assert again is kept
+        assert TAPS.captures == 2
+
+    def test_keep_app_serves_later_require_app_hits(self):
+        key = TraceKey("sat-solver", window_uops=6_000, warm_uops=2_000)
+        _, app = materialize(key, use_store=False, keep_app=True)
+        _, hit = materialize(key, use_store=False, require_app=True)
+        assert hit is app
+        assert TAPS.captures == 1
+
+    def test_sweep_pre_captures_keep_no_app(self):
+        """A sweep's cells replay traces only; the memo must not hold
+        the apps that produced them."""
+        cells = [Cell("single", name, WEE)
+                 for name in ("sat-solver", "mapreduce")]
+        SweepEngine(jobs=1, use_cache=False).run(cells)
+        assert len(pipeline._MEMO) == 2
+        assert all(app is None for _, app in pipeline._MEMO.values())
+
 
 class TestTraceKeysForCells:
     def test_single_cells_dedup_across_machine_params(self):
