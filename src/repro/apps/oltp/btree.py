@@ -85,20 +85,27 @@ class BPlusTree:
 
     def insert(self, key: int, value: object, rt: Runtime | None = None,
                dep: int = 0) -> None:
-        if len(self.root.keys) >= self.ORDER:
-            self._split_root(rt)
+        root = self.root
+        if len(root.keys) >= self.ORDER:
+            new_root = self._new_node(leaf=False)
+            new_root.children.append(root)
+            self._split_child(new_root, 0, rt)
+            self.root = new_root
+            self.height += 1
         self._insert_nonfull(self.root, key, value, rt, dep)
 
     def extend(self, keys: Sequence[int], values: Sequence[object]) -> None:
-        """Untraced bulk load of strictly ascending ``keys``, all above
-        every key and separator in the tree (``ValueError`` otherwise).
+        """Untraced bulk load of ``keys``, all above every key and
+        separator in the tree (``ValueError`` otherwise).  The keys
+        must be strictly ascending; that is the caller's to keep, since
+        only the first is checked.
 
         Builds exactly the tree one untraced :meth:`insert` per key
         builds: same nodes, addresses, links, height, size, node count
-        and heap cursor.  Such an insert descends the right spine,
-        splitting every full node on it, and appends to the rightmost
-        leaf; so each step here does those splits once, then appends
-        the :meth:`room` keys that go in before the next split.
+        and heap cursor.  Each step puts its first key through
+        :meth:`insert`, which splits the full nodes on the right spine,
+        then appends the rest of the :meth:`room` keys that go in
+        before the next split straight to the rightmost leaf.
         """
         if len(keys) != len(values):
             raise ValueError("extend needs one value per key")
@@ -116,10 +123,13 @@ class BPlusTree:
         start, count = 0, len(keys)
         while start < count:
             stop = min(count, start + self.room())
-            leaf = self._split_spine()
-            leaf.keys.extend(keys[start:stop])
-            leaf.values.extend(values[start:stop])
-            self.size += stop - start
+            self.insert(keys[start], values[start])
+            leaf = self.root
+            while not leaf.leaf:
+                leaf = leaf.children[-1]
+            leaf.keys.extend(keys[start + 1:stop])
+            leaf.values.extend(values[start + 1:stop])
+            self.size += stop - start - 1
             start = stop
 
     def room(self) -> int:
@@ -141,26 +151,6 @@ class BPlusTree:
                 return order - keys
             parent_keys = keys
             node = node.children[-1]
-
-    def _split_root(self, rt: Runtime | None) -> None:
-        new_root = self._new_node(leaf=False)
-        new_root.children.append(self.root)
-        self._split_child(new_root, 0, rt)
-        self.root = new_root
-        self.height += 1
-
-    def _split_spine(self) -> _Node:
-        """Split every full node on the right spine, root first, as an
-        insert of a key above the tree descends; returns the rightmost
-        leaf."""
-        if len(self.root.keys) >= self.ORDER:
-            self._split_root(None)
-        node = self.root
-        while not node.leaf:
-            if len(node.children[-1].keys) >= self.ORDER:
-                self._split_child(node, len(node.children) - 1, None)
-            node = node.children[-1]
-        return node
 
     def _split_child(self, parent: _Node, index: int, rt: Runtime | None) -> None:
         child = parent.children[index]

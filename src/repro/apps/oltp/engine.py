@@ -53,15 +53,14 @@ class Table:
         """Untraced bulk :meth:`insert` of strictly ascending ``keys``
         above every key in the table: each key gets the slot insert
         would give it, wrap included (:meth:`BPlusTree.extend`)."""
-        start = self._next_slot
-        self._next_slot += len(keys)
+        start, stop = self._next_slot, self._next_slot + len(keys)
         first = start % self.capacity
         if first + len(keys) <= self.capacity:
             slots: Sequence[int] = range(first, first + len(keys))
         else:
-            slots = [slot % self.capacity
-                     for slot in range(start, self._next_slot)]
+            slots = [slot % self.capacity for slot in range(start, stop)]
         self.index.extend(keys, slots)
+        self._next_slot = stop  # only once the index took the keys
 
     def read(self, key: int, rt: Runtime | None = None,
              lines: int | None = None, dep: int = 0) -> int | None:

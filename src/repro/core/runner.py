@@ -192,8 +192,7 @@ def run_workload(name: str, config: RunConfig | None = None,
         return hit
     trace_key = TraceKey.from_config(name, config)
     captured, app = trace_pipeline.materialize(
-        trace_key, use_store=use_cache, require_app=require_app,
-        keep_app=True)
+        trace_key, use_store=use_cache, require_app=require_app)
     result = trace_pipeline.replay(captured, config.params)
     run = WorkloadRun(name, config, result, app)
     if use_cache:
@@ -281,8 +280,8 @@ def _run_member(group: str, member: str, config: RunConfig,
         result = core.run(source.streams())
     else:
         trace_key = TraceKey.from_config(group, config, member=member)
-        captured, app = trace_pipeline.materialize(
-            trace_key, use_store=use_cache, keep_app=True)
+        captured, app = trace_pipeline.materialize(trace_key,
+                                                   use_store=use_cache)
         result = trace_pipeline.replay(captured, params)
     run = WorkloadRun(label, replace(config, params=params), result, app)
     if use_cache:

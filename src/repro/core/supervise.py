@@ -237,7 +237,9 @@ class SweepSupervisor:
                         self._fail(task, "worker process died mid-cell "
                                    "(killed, OOM, or crashed)",
                                    waiting, failed)
-                    except Exception as exc:  # worker raised: retry the cell
+                    except Exception as exc:
+                        # The worker raised: retry the cell, unless the
+                        # failure is deterministic and would only recur.
                         self._fail(task, f"{type(exc).__name__}: {exc}",
                                    waiting, failed, final=isinstance(
                                        exc, DeterministicRunError))

@@ -102,10 +102,9 @@ TAPS = TraceTaps()
 
 #: Fingerprint → (trace, producing app or None).  Content-keyed, so a
 #: hit is always observationally identical to a fresh capture.  A
-#: capture keeps its app here only when its caller hands the app on
-#: (``keep_app``: the runner's runs) or needs it (``require_app``):
-#: the byte budget below does not count apps, and a sweep's
-#: pre-captures, calibration and ``trace capture`` never read one.
+#: capture keeps its app here only under ``require_app``, the one
+#: caller that reads a memoized app: the byte budget below does not
+#: count apps.
 _MEMO: OrderedDict[str, tuple[CapturedTrace, "ServerApp | None"]] = \
     OrderedDict()
 #: Eviction is by encoded bytes, not entry count: under ``--no-cache``
@@ -146,7 +145,7 @@ def _memo_put(fingerprint: str,
 
 
 def materialize(key: TraceKey, use_store: bool = True,
-                require_app: bool = False, keep_app: bool = False
+                require_app: bool = False
                 ) -> tuple[CapturedTrace, "ServerApp | None"]:
     """The trace for ``key``: memo, then store, then fresh capture.
 
@@ -154,7 +153,7 @@ def materialize(key: TraceKey, use_store: bool = True,
     produced the trace (the faults figure reads its service metrics);
     a memo or store hit without one falls through to a fresh capture.
     A fresh capture always returns its app, but the memo keeps it for
-    later hits only under ``require_app`` or ``keep_app``.
+    later hits only under ``require_app``.
     ``use_store=False`` skips the on-disk store in both directions.
     """
     fingerprint = key.fingerprint()
@@ -181,8 +180,7 @@ def materialize(key: TraceKey, use_store: bool = True,
     TAPS.encoded_bytes += captured.nbytes()
     if use_store:
         TraceStore().put(captured)
-    _memo_put(fingerprint,
-              (captured, app if require_app or keep_app else None))
+    _memo_put(fingerprint, (captured, app if require_app else None))
     return captured, app
 
 

@@ -395,6 +395,13 @@ class TestBulkLoad:
         tree.extend([], [])
         assert [k for k, _ in tree.items()] == list(range(100))
 
+    def test_a_rejected_load_takes_no_slots(self, space):
+        table = Table(space, "t", capacity=50, row_bytes=64)
+        table.load(range(10))
+        with pytest.raises(ValueError, match="right spine"):
+            table.load(range(5, 20))
+        assert table.insert(10) == 10
+
 
 def _per_key_load(table, keys):
     for key in keys:

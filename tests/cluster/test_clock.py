@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster.clock import EventLoop
+from repro.cluster.clock import EventLoop, HorizonOverrunError
 
 
 def test_events_fire_in_time_order():
@@ -55,7 +55,7 @@ def test_horizon_guard_raises_on_runaway():
         loop.after(10, reschedule)
 
     loop.at(0, reschedule)
-    with pytest.raises(RuntimeError, match="horizon"):
+    with pytest.raises(HorizonOverrunError, match="horizon"):
         loop.run(horizon=100)
 
 

@@ -25,10 +25,10 @@ from repro.core.supervise import (
     SweepCheckpoint,
     sweep_digest,
 )
-from repro.cluster.clock import EventLoop, HorizonOverrunError
+from repro.cluster.clock import HorizonOverrunError
 from repro.core.sweep import Cell, SweepEngine, _cell_worker
 from repro.faults.retry import RetryPolicy
-from repro.faults.watchdog import DeterministicRunError, RunawayTraceError
+from repro.faults.watchdog import RunawayTraceError
 
 WEE = RunConfig(window_uops=6_000, warm_uops=2_000)
 NAMES = ("sat-solver", "mapreduce", "web-search")
@@ -203,14 +203,6 @@ class TestDeterministicFailures:
         for name in NAMES:
             assert (flag_dir / f"attempts-{name}").read_text() \
                 == "." * attempts
-
-    def test_horizon_overrun_is_deterministic(self):
-        assert issubclass(HorizonOverrunError, DeterministicRunError)
-        assert issubclass(RunawayTraceError, DeterministicRunError)
-        loop = EventLoop()
-        loop.at(200, lambda: None)
-        with pytest.raises(HorizonOverrunError, match="horizon"):
-            loop.run(horizon=100)
 
 
 class TestSerialSupervision:

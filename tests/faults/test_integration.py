@@ -50,8 +50,10 @@ class TestDeterminism:
         assert first == second
 
     def test_faulted_counters_are_bit_identical(self):
-        first = run_workload("data-serving", FAULTED, use_cache=False)
-        second = run_workload("data-serving", FAULTED, use_cache=False)
+        first = run_workload("data-serving", FAULTED, use_cache=False,
+                             require_app=True)
+        second = run_workload("data-serving", FAULTED, use_cache=False,
+                              require_app=True)
         for field in ("cycles", "instructions", "l1i_misses", "l2i_misses",
                       "llc_misses", "loads", "stores", "branches",
                       "offchip_bytes"):
@@ -101,8 +103,8 @@ class TestEmptyPlanIsStrictNoOp:
 
 class TestDegradedModeAcceptance:
     def test_degraded_serving_pays_in_ifootprint_and_tail(self):
-        healthy = run_workload("data-serving", HEALTHY)
-        degraded = run_workload("data-serving", FAULTED)
+        healthy = run_workload("data-serving", HEALTHY, require_app=True)
+        degraded = run_workload("data-serving", FAULTED, require_app=True)
 
         from repro.core import analysis
 
@@ -122,7 +124,7 @@ class TestDegradedModeAcceptance:
         assert degraded.app.faults.total_fired() > 0
 
     def test_healthy_runs_never_touch_fault_accounting(self):
-        healthy = run_workload("data-serving", HEALTHY)
+        healthy = run_workload("data-serving", HEALTHY, require_app=True)
         assert healthy.app.faults is None
         assert healthy.app.service.retries == 0
         assert healthy.app.service.goodput() == 1.0

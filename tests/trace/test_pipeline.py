@@ -92,13 +92,6 @@ class TestMaterialize:
         assert again is kept
         assert TAPS.captures == 2
 
-    def test_keep_app_serves_later_require_app_hits(self):
-        key = TraceKey("sat-solver", window_uops=6_000, warm_uops=2_000)
-        _, app = materialize(key, use_store=False, keep_app=True)
-        _, hit = materialize(key, use_store=False, require_app=True)
-        assert hit is app
-        assert TAPS.captures == 1
-
     def test_sweep_pre_captures_keep_no_app(self):
         """A sweep's cells replay traces only; the memo must not hold
         the apps that produced them."""
