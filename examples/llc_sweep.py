@@ -17,8 +17,9 @@ from dataclasses import replace
 from repro import RunConfig, analysis, run_workload
 from repro.core.polluter import polluter_array_bytes, warm_polluter
 from repro.trace.capture import TraceKey
+from repro.trace.columns import batch_for
 from repro.trace.pipeline import materialize
-from repro.trace.replay import ReplaySource
+from repro.trace.replay import fill_lines, functional_replay_batch
 from repro.uarch.core import Core
 from repro.uarch.hierarchy import MemoryHierarchy
 
@@ -46,21 +47,21 @@ def polluter_method(name: str, config: RunConfig) -> dict[int, float]:
     A custom harness over the same pipeline: one captured trace,
     replayed into a hand-prepared hierarchy per polluter size.
     """
-    captured, _app = materialize(TraceKey.from_config(name, config))
+    captured = materialize(TraceKey.from_config(name, config))
     curve = {}
     for size in SIZES_MB:
-        source = ReplaySource(captured)
         hierarchy = MemoryHierarchy(config.params)
         array_bytes = polluter_array_bytes(config.params, size)
         if array_bytes:
             warm_polluter(hierarchy.llc, array_bytes)
-        source.warm_into(hierarchy)
+        fill_lines(hierarchy, captured.fill_ranges)
+        functional_replay_batch(hierarchy, batch_for(captured.warm))
         # Re-assert the polluters' residency (they run continuously on
         # their own cores, §3.1, so their array never leaves the LLC).
         if array_bytes:
             warm_polluter(hierarchy.llc, array_bytes)
         core = Core(config.params, hierarchy)
-        result = core.run(source.streams())
+        result = core.run([stream.decode() for stream in captured.streams])
         curve[size] = analysis.application_ipc(result)
     return curve
 

@@ -363,8 +363,7 @@ def _trace_command(args: list[str], config: RunConfig,
             _usage_error("trace capture requires a workload name")
         key = TraceKey.from_config(args[1], config)
         try:
-            captured, _app = materialize(key,
-                                         use_store=not options.no_cache)
+            captured = materialize(key, use_store=not options.no_cache)
         except KeyError as exc:
             _usage_error(str(exc.args[0]))
         source = "store hit" if TAPS.store_hits else "captured"
@@ -493,6 +492,7 @@ def _sweep_command(command: str, args: list[str], config: RunConfig,
             print(f"error: {exc.args[0]}", file=sys.stderr)
             return 2
         print(table.to_text())
+        _report_trace_taps()
         return 0
     if command == "cluster":
         from repro.core.experiments import figure9_cluster
@@ -522,6 +522,7 @@ def _sweep_command(command: str, args: list[str], config: RunConfig,
     if command == "verify":
         report = paper.verify(config, engine=_build_engine(options))
         print(report.to_text())
+        _report_trace_taps()
         return 0 if all(row["OK"] == "yes" for row in report.rows) else 1
     if command == "all":
         names = list(paper.TABLES)

@@ -393,13 +393,3 @@ class ServerApp(abc.ABC):
                 boundaries.append(len(buf))
             emitted += len(buf)
             yield from buf
-
-    def trace_segments(
-        self, tid: int, budget: int, segments: int
-    ) -> list[Iterator[MicroOp]]:
-        """Split a budget into ``segments`` lazily-generated trace chunks
-        (round-robin multi-core interleaving; delegates to
-        :func:`repro.trace.live.live_segments`)."""
-        from repro.trace.live import live_segments
-
-        return live_segments(self, tid, budget, segments)

@@ -154,7 +154,7 @@ def calibrate(config: CalibrationConfig, use_store: bool = True,
             warm_uops=config.warm_uops,
             op_class=op,
         )
-        captured, _app = pipeline.materialize(key, use_store=use_store)
+        captured = pipeline.materialize(key, use_store=use_store)
         result = pipeline.replay(captured, config.params)
         request_uops = [count for count in captured.meta["request_uops"]
                         if count > 0]

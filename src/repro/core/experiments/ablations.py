@@ -27,9 +27,10 @@ from dataclasses import replace
 
 from repro.core import analysis
 from repro.core.report import ExperimentTable
-from repro.core.runner import RunConfig, guarded_trace
+from repro.core.runner import RunConfig
 from repro.core.sweep import Cell, SweepEngine
 from repro.core.workloads import build_app
+from repro.trace.live import live_stream
 from repro.uarch.core import Core
 from repro.uarch.hierarchy import MemoryHierarchy
 from repro.uarch.params import CacheParams
@@ -64,8 +65,8 @@ def narrow_cores(config: RunConfig | None = None,
             hierarchy = MemoryHierarchy(narrow_params, core_id=tid)
             app.warm(hierarchy, trace_uops=config.warm_uops // 2)
             core = Core(narrow_params, hierarchy, core_id=tid)
-            result = core.run([guarded_trace(app, tid, config.window_uops // 2,
-                                             f"{name}[narrow:{tid}]")])
+            result = core.run([live_stream(app, tid, config.window_uops // 2,
+                                           f"{name}[narrow:{tid}]")])
             aggregate += analysis.ipc(result)
         table.add_row(
             Workload=name,
@@ -215,8 +216,8 @@ def core_aggressiveness(config: RunConfig | None = None,
         hierarchy = MemoryHierarchy(config.params)
         app.warm(hierarchy, trace_uops=config.warm_uops)
         inorder = InOrderCore(config.params, hierarchy)
-        in_res = inorder.run([guarded_trace(app, 0, config.window_uops // 2,
-                                            f"{name}[in-order]")])
+        in_res = inorder.run([live_stream(app, 0, config.window_uops // 2,
+                                          f"{name}[in-order]")])
         in_ipc = analysis.ipc(in_res)
 
         modest_ipc = analysis.ipc(next(runs).result)

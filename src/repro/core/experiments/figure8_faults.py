@@ -27,11 +27,13 @@ from dataclasses import dataclass, replace
 
 from repro.core import analysis
 from repro.core.report import ExperimentTable
-from repro.core.runner import RunConfig, run_workload
+from repro.core.runner import RunConfig
 from repro.core.sweep import SweepEngine, config_fingerprint
 from repro.core.validate import validate_fault_rows
 from repro.core.workloads import REGISTRY
 from repro.faults.plan import FaultPlan
+from repro.trace import pipeline
+from repro.trace.capture import TraceKey
 
 #: The workloads the degraded-mode table characterizes by default.
 DEFAULT_WORKLOADS = [
@@ -64,13 +66,14 @@ def _measure_cell(name: str, config: RunConfig,
                   use_cache: bool = True) -> dict:
     """Run one (workload, mode) cell and distill its row payload.
 
-    ``require_app=True``: the row reads service metrics and fault
-    counters off the live app, which a trace-store hit (``app=None``)
-    cannot supply.
+    The row reads service metrics and fault counters off the live app
+    that produced the trace, so the cell captures afresh
+    (:func:`~repro.trace.pipeline.capture_fresh`) instead of taking a
+    memo or store hit, and replays that capture.
     """
-    run = run_workload(name, config, use_cache, require_app=True)
-    r = run.result
-    app = run.app
+    captured, app = pipeline.capture_fresh(
+        TraceKey.from_config(name, config), use_store=use_cache)
+    r = pipeline.replay(captured, config.params)
     service = app.service.summary()
     injector = app.faults
     return {

@@ -21,8 +21,12 @@ trace-driven: the measurement stream is captured once per
 :mod:`repro.trace.pipeline` and replayed against each machine
 configuration.  SMT and chip runs interleave thread generation with
 core timing, so their stream content depends on the configuration
-under test — they keep live generation through
-:class:`repro.trace.live.LiveSource`, behind the same source protocol.
+under test — they keep live generation through the guarded streams of
+:mod:`repro.trace.live`.
+
+A run is counters only: its name, its configuration and the core's
+result.  The app that produced them lives exactly as long as the
+capture or live run that needs it, so the LRU holds no live state.
 """
 
 from __future__ import annotations
@@ -36,9 +40,9 @@ from repro.core.workloads import build_app
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.faults.watchdog import RunawayTraceError
+from repro.trace import live as trace_live
 from repro.trace import pipeline as trace_pipeline
 from repro.trace.capture import TraceKey
-from repro.trace.live import LiveSource, live_stream
 from repro.uarch.chip import Chip, ChipResult
 from repro.uarch.core import Core, CoreResult
 from repro.uarch.dram import per_core_utilization
@@ -54,7 +58,6 @@ __all__ = [
     "run_workload_smt",
     "run_workload_members",
     "run_workload_chip",
-    "guarded_trace",
     "metric_mean",
     "metric_range",
     "clear_cache",
@@ -91,17 +94,12 @@ class RunConfig:
 
 @dataclass
 class WorkloadRun:
-    """A finished measurement.
-
-    ``app`` is the live server instance for in-process runs, and
-    ``None`` for runs restored from the on-disk store or a worker
-    process — every figure consumes only ``config`` and ``result``.
-    """
+    """A finished measurement: the same record in-process, from a pool
+    worker or from the on-disk store."""
 
     name: str
     config: RunConfig
     result: CoreResult
-    app: ServerApp | None
 
     @property
     def freq_hz(self) -> float:
@@ -162,68 +160,55 @@ def _attach_faults(app: ServerApp, config: RunConfig) -> None:
         app.attach_faults(FaultInjector(config.fault_plan))
 
 
-def guarded_trace(app: ServerApp, tid: int, budget: int, label: str):
-    """A live app trace wrapped in the runaway-trace watchdog.
-
-    Every live-generation path that feeds a core must come through
-    here (the ablation experiments included), so a wedged serve loop
-    raises :class:`RunawayTraceError` instead of hanging the sweep.
-    Replayed traces were bounded at capture time and skip the guard.
-    """
-    return live_stream(app, tid, budget, label)
-
-
 def run_workload(name: str, config: RunConfig | None = None,
-                 use_cache: bool = True,
-                 require_app: bool = False) -> WorkloadRun:
+                 use_cache: bool = True) -> WorkloadRun:
     """Measure one workload on one core (the Figures 1/2/5/7 setup).
 
     Trace-driven: the measurement stream is materialized through the
     capture/replay pipeline (captured at most once per trace key, then
-    replayed per machine configuration).  ``require_app=True`` forces a
-    run whose ``app`` is the live instance that produced the trace —
-    the faults figure reads its service metrics, which a store-restored
-    trace cannot supply.
+    replayed per machine configuration).
     """
     config = config or RunConfig()
     key = _cache_key("single", name, config)
-    if use_cache and (hit := _cache_get(key)) is not None \
-            and not (require_app and hit.app is None):
+    if use_cache and (hit := _cache_get(key)) is not None:
         return hit
-    trace_key = TraceKey.from_config(name, config)
-    captured, app = trace_pipeline.materialize(
-        trace_key, use_store=use_cache, require_app=require_app)
-    result = trace_pipeline.replay(captured, config.params)
-    run = WorkloadRun(name, config, result, app)
+    captured = trace_pipeline.materialize(TraceKey.from_config(name, config),
+                                          use_store=use_cache)
+    run = WorkloadRun(name, config,
+                      trace_pipeline.replay(captured, config.params))
     if use_cache:
         _cache_put(key, run)
     return run
 
 
-def run_workload_smt(name: str, config: RunConfig | None = None,
-                     use_cache: bool = True) -> WorkloadRun:
-    """Measure one workload with two threads on one SMT core (Fig. 3).
+def _measure_smt(app: ServerApp, config: RunConfig,
+                 label: str) -> CoreResult:
+    """Two guarded live threads of ``app`` on one SMT core.
 
     SMT streams are pulled in core-interleaved order from one shared
-    app, so their content depends on the timing configuration — the
-    run stays live (guarded) behind a :class:`LiveSource`.
+    app, so their content depends on the timing configuration and the
+    run stays live.  ``warm_app`` and ``live_stream`` are looked up on
+    :mod:`repro.trace.live` at call time, as the chip path does, so a
+    wrapper installed on that module sees SMT runs too.
     """
+    _attach_faults(app, config)
+    hierarchy = MemoryHierarchy(config.params)
+    trace_live.warm_app(app, hierarchy, config.warm_uops)
+    half = config.window_uops // 2
+    return Core(config.params, hierarchy).run(
+        [trace_live.live_stream(app, tid, half, label) for tid in (0, 1)])
+
+
+def run_workload_smt(name: str, config: RunConfig | None = None,
+                     use_cache: bool = True) -> WorkloadRun:
+    """Measure one workload with two threads on one SMT core (Fig. 3)."""
     config = config or RunConfig()
-    smt_params = config.params.with_smt(2)
-    config = replace(config, params=smt_params)
+    config = replace(config, params=config.params.with_smt(2))
     key = _cache_key("smt", name, config)
     if use_cache and (hit := _cache_get(key)) is not None:
         return hit
-    app = build_app(name, seed=config.seed)
-    _attach_faults(app, config)
-    half = config.window_uops // 2
-    source = LiveSource(app, budgets=(half, half), label=name,
-                        warm_uops=config.warm_uops)
-    hierarchy = MemoryHierarchy(smt_params)
-    source.warm_into(hierarchy)
-    core = Core(smt_params, hierarchy)
-    result = core.run(source.streams())
-    run = WorkloadRun(name, config, result, app)
+    run = WorkloadRun(name, config, _measure_smt(
+        build_app(name, seed=config.seed), config, name))
     if use_cache:
         _cache_put(key, run)
     return run
@@ -262,28 +247,21 @@ def _run_member(group: str, member: str, config: RunConfig,
                 smt: bool, use_cache: bool = True) -> WorkloadRun:
     from repro.core.workloads import REGISTRY
 
-    params = config.params.with_smt(2) if smt else config.params
-    key = _cache_key("smt-member" if smt else "member", f"{group}:{member}",
-                     replace(config, params=params))
+    if smt:
+        config = replace(config, params=config.params.with_smt(2))
+    label = f"{group}:{member}"
+    key = _cache_key("smt-member" if smt else "member", label, config)
     if use_cache and (hit := _cache_get(key)) is not None:
         return hit
-    label = f"{group}:{member}"
     if smt:
         app = REGISTRY[group].app_cls(seed=config.seed, member=member)
-        _attach_faults(app, config)
-        half = config.window_uops // 2
-        source = LiveSource(app, budgets=(half, half), label=label,
-                            warm_uops=config.warm_uops)
-        hierarchy = MemoryHierarchy(params)
-        source.warm_into(hierarchy)
-        core = Core(params, hierarchy)
-        result = core.run(source.streams())
+        result = _measure_smt(app, config, label)
     else:
-        trace_key = TraceKey.from_config(group, config, member=member)
-        captured, app = trace_pipeline.materialize(trace_key,
-                                                   use_store=use_cache)
-        result = trace_pipeline.replay(captured, params)
-    run = WorkloadRun(label, replace(config, params=params), result, app)
+        captured = trace_pipeline.materialize(
+            TraceKey.from_config(group, config, member=member),
+            use_store=use_cache)
+        result = trace_pipeline.replay(captured, config.params)
+    run = WorkloadRun(label, config, result)
     if use_cache:
         _cache_put(key, run)
     return run
@@ -307,9 +285,7 @@ class ChipRun:
 
     name: str
     config: RunConfig
-    chip: Chip
     result: ChipResult
-    app: ServerApp
 
     @property
     def summed(self) -> CoreResult:
@@ -349,22 +325,20 @@ def run_workload_chip(
             _attach_faults(apps[-1], config)
         set_default_asid(0)
         tids = [0] * num_cores
-    from repro.trace.live import live_segments, warm_app
-
     chip = Chip(config.params, num_cores=num_cores)
     for core, app in zip(chip.cores, apps):
-        warm_app(app, core.hierarchy,
-                 trace_uops=max(2_000, config.warm_uops // 8))
+        trace_live.warm_app(app, core.hierarchy,
+                            trace_uops=max(2_000, config.warm_uops // 8))
     # Measurement starts now: forget who wrote what during warmup/setup.
     chip.directory.clear()
     chip.directory.stats.__init__()
     per_core_budget = config.window_uops // num_cores
     per_core_segments = [
-        live_segments(app, tid, per_core_budget, segments)
+        trace_live.live_segments(app, tid, per_core_budget, segments)
         for app, tid in zip(apps, tids)
     ]
     result = chip.run_segments(per_core_segments)
-    run = ChipRun(name, config, chip, result, apps[0])
+    run = ChipRun(name, config, result)
     if use_cache:
         _cache_put(key, run)  # type: ignore[arg-type]
     return run

@@ -16,10 +16,9 @@ written by an incompatible build is a miss, never a wrong answer.
 
 Documents are intentionally minimal: the run's name, its full
 configuration (round-tripped through the same dataclasses), and the
-``CoreResult`` counters.  Live app state never touches disk; a run
-restored from the store has ``app=None``, which is all the figure
-modules need.  The same directory holds fleet summaries (``cluster``),
-Figure 8 rows (``faults``) and service-cost models (``calibration``).
+``CoreResult`` counters — all a run holds.  The same directory holds
+fleet summaries (``cluster``), Figure 8 rows (``faults``) and
+service-cost models (``calibration``).
 
 A document that fails to parse, carries the wrong fingerprint
 (renamed/copied file), or violates the physical invariants in
@@ -109,12 +108,11 @@ def run_to_dict(run: WorkloadRun) -> dict:
 
 
 def run_from_dict(data: dict) -> WorkloadRun:
-    """Rebuild a run from :func:`run_to_dict` output (``app`` is None)."""
+    """Rebuild a run from :func:`run_to_dict` output."""
     return WorkloadRun(
         name=data["name"],
         config=_config_from_dict(data["config"]),
         result=CoreResult(**data["result"]),
-        app=None,
     )
 
 

@@ -166,7 +166,7 @@ class Cell:
 
     def execute(self, use_cache: bool = True) -> list[dict]:
         """One ``run_to_dict`` payload per run (1+ for groups): name,
-        config and counters, never the live ``app``."""
+        config and counters."""
         from repro.core import runner
         from repro.core.store import run_to_dict
 
@@ -182,12 +182,11 @@ class Cell:
             chip = runner.run_workload_chip(
                 self.name, self.config, num_cores=self.num_cores,
                 segments=self.segments, use_cache=use_cache)
-            runs = [runner.WorkloadRun(self.name, chip.config, chip.summed,
-                                       chip.app)]
+            runs = [runner.WorkloadRun(self.name, chip.config, chip.summed)]
         return [run_to_dict(run) for run in runs]
 
     def decode(self, payload: list) -> list["WorkloadRun"]:
-        """The runs of an :meth:`execute` payload (``app`` is None)."""
+        """The runs of an :meth:`execute` payload."""
         from repro.core.store import run_from_dict
 
         return [run_from_dict(entry) for entry in payload]

@@ -6,8 +6,9 @@ place, at lint time:
 
 * the declarations in ``uarch/counters.py`` (``COUNTER_NAMES``) and the
   ``CoreResult`` dataclass must agree exactly — a counter field that is
-  not declared never reaches ``to_counters``/figures, and a declared
-  name without a field crashes ``to_counters``;
+  not declared is never summed across a chip's cores
+  (``ChipResult.summed``), and a declared name without a field crashes
+  that sum;
 * every attribute stored on a ``CoreResult``-typed variable in
   ``uarch/*`` and ``machine/*`` must be a real field — a typo'd
   ``result.l1i_missess += 1`` is legal Python (dataclasses are open)
@@ -135,8 +136,8 @@ class CounterSchemaRule(ProjectRule):
                 yield self.finding(
                     decl_ctx, decl_node,
                     f"{DECLARATION_NAME} declares {name!r} but "
-                    "CoreResult has no such field; to_counters() "
-                    "would raise AttributeError")
+                    "CoreResult has no such field; summing a chip's "
+                    "cores would raise AttributeError")
         declared_set = set(declared)
         for name, (lineno, annotation) in fields.items():
             if (annotation in _NUMERIC_ANNOTATIONS
@@ -145,7 +146,7 @@ class CounterSchemaRule(ProjectRule):
                     self.name, core_ctx.path, lineno, 1, self.severity,
                     f"CoreResult field {name!r} is a numeric counter "
                     f"but is not declared in {DECLARATION_NAME}; it "
-                    "would never reach to_counters() or the figures")
+                    "would never be summed across a chip's cores")
 
         yield from self._check_pairs(contexts, fields)
         yield from self._check_stores(contexts, fields)

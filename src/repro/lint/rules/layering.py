@@ -17,12 +17,10 @@ from repro.lint.findings import Finding
 from repro.lint.rules import Rule
 
 #: Methods whose call sites constitute direct trace consumption.
-_TRACE_METHODS = frozenset({"trace", "trace_segments", "cluster_op_stream"})
+_TRACE_METHODS = frozenset({"trace", "cluster_op_stream"})
 
-#: Files (relative to the lint root) and directories allowed to touch
-#: raw traces: the trace package itself, and the runner facade.
+#: The one directory allowed to touch raw traces: the trace package.
 _ALLOWED_DIR = "trace"
-_ALLOWED_FILES = ("core/runner.py",)
 
 
 def _called_name(func: ast.expr) -> str | None:
@@ -148,23 +146,21 @@ class ServiceCostTableRule(Rule):
 class TraceLayerRule(Rule):
     """Direct trace consumption outside the trace layer.
 
-    ``app.trace(...)``, ``app.trace_segments(...)``, and raw
+    ``app.trace(...)``, ``app.cluster_op_stream(...)`` and raw
     ``guard_trace(...)`` wrapping belong to ``repro/trace/`` (capture
-    and live sources) and the ``core/runner.py`` facade.  Everything
-    else must go through the pipeline — ``materialize``/``replay`` for
-    trace-driven runs, ``LiveSource``/``guarded_trace`` for
-    generation-entangled ones.
+    and live generation).  Everything else must go through it —
+    ``materialize``/``replay`` for trace-driven runs,
+    ``repro.trace.live``'s ``warm_app``, ``live_stream`` and
+    ``live_segments`` for generation-entangled ones.
     """
 
     name = "trace-layer"
     severity = "error"
     description = ("direct app.trace()/guard_trace() consumption "
                    "bypasses the capture/replay pipeline; route it "
-                   "through repro/trace or the runner facade")
+                   "through repro/trace")
 
     def _allowed(self, path: str) -> bool:
-        if path.endswith(_ALLOWED_FILES):
-            return True
         return _ALLOWED_DIR in path.split("/")[:-1]
 
     def check_file(self, ctx) -> Iterable[Finding]:
@@ -178,9 +174,9 @@ class TraceLayerRule(Rule):
                 yield self.finding(
                     ctx, node,
                     "raw guard_trace() wrapping outside the trace "
-                    "layer; use repro.trace.live.live_stream (or the "
-                    "runner's guarded_trace facade) so capture and "
-                    "live generation share one watchdog path")
+                    "layer; use repro.trace.live.live_stream so "
+                    "capture and live generation share one watchdog "
+                    "path")
             elif (called in _TRACE_METHODS
                     and isinstance(node.func, ast.Attribute)):
                 yield self.finding(
@@ -188,5 +184,5 @@ class TraceLayerRule(Rule):
                     f".{called}() drained outside the trace layer "
                     "bypasses capture, the runaway-trace watchdog, and "
                     "the pipeline taps; go through "
-                    "repro.trace.pipeline.materialize or a "
-                    "repro.trace.live source")
+                    "repro.trace.pipeline.materialize or "
+                    "repro.trace.live")

@@ -21,13 +21,13 @@ Captured traces persist in an on-disk store
 :mod:`repro.trace.pipeline` memoizes them in-process, so a sweep is
 O(traces) + O(cells · replay) instead of O(cells · generate).
 Timing-entangled runs (SMT, multi-core chips) keep live generation via
-:mod:`repro.trace.live`, behind the same source protocol.
+:mod:`repro.trace.live`, whose warming and watchdog are the ones
+replay and capture use.
 """
 
 from repro.trace.capture import CapturedTrace, TraceKey, capture
 from repro.trace.codec import TRACE_SCHEMA, EncodedStream, encode_stream
-from repro.trace.pipeline import TAPS, materialize, replay
-from repro.trace.replay import ReplaySource, TraceSource
+from repro.trace.pipeline import TAPS, capture_fresh, materialize, replay
 from repro.trace.store import TraceFormatError, TraceStore
 
 __all__ = [
@@ -37,11 +37,10 @@ __all__ = [
     "TraceKey",
     "CapturedTrace",
     "capture",
-    "TraceSource",
-    "ReplaySource",
     "TraceStore",
     "TraceFormatError",
     "TAPS",
+    "capture_fresh",
     "materialize",
     "replay",
 ]

@@ -166,9 +166,10 @@ def build_app_for(key: TraceKey) -> "ServerApp":
 def capture(key: TraceKey) -> tuple[CapturedTrace, "ServerApp"]:
     """Capture one workload execution.
 
-    Returns the encoded trace *and* the live app that produced it —
-    in-process callers (the faults figure) consume the app's service
-    metrics, which a store-restored trace cannot supply.
+    Returns the encoded trace *and* the live app that produced it; the
+    caller decides how long the app lives (the faults figure reads its
+    service metrics through :func:`~repro.trace.pipeline.capture_fresh`,
+    and :func:`~repro.trace.pipeline.materialize` drops it).
 
     Stream order matters and mirrors the live runner exactly: fill
     ranges first (see :func:`fill_ranges_for`), then the warm stream,

@@ -1,23 +1,22 @@
-"""Live trace sources: generation that cannot be captured ahead of time.
+"""Live generation: the streams that cannot be captured ahead of time.
 
 SMT and multi-core measurements interleave thread streams at the
 core's cycle granularity, and each pull mutates the shared app state
 (its RNG, its dataset) — the stream *content* depends on core timing,
 so those runs cannot be captured once and replayed across machine
-configurations.  They still speak the pipeline's
-:class:`~repro.trace.replay.TraceSource` protocol through
-:class:`LiveSource`, and their warming and guarding go through the
-same helpers as capture, so the watchdog and the layering rule hold
-everywhere.
+configurations.  Their warming (:func:`warm_app`) goes through the
+same fill and functional-replay helpers as replay, and their
+measurement streams (:func:`live_stream`) through the same watchdog as
+capture, so the watchdog and the layering rule hold everywhere.
 
-This module (with :mod:`repro.trace.capture` and ``core/runner.py``)
-is the sanctioned home of direct ``app.trace()`` consumption — the
-``trace-layer`` lint rule flags it anywhere else.
+This module, with :mod:`repro.trace.capture`, is the sanctioned home
+of direct ``app.trace()`` consumption — the ``trace-layer`` lint rule
+flags it outside ``repro/trace/``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, List, Sequence
+from typing import TYPE_CHECKING, Iterator, List
 
 from repro.faults.watchdog import guard_trace, trace_budget
 from repro.trace.capture import fill_ranges_for
@@ -30,8 +29,7 @@ from repro.uarch.uop import MicroOp
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.apps.base import ServerApp
 
-__all__ = ["LiveSource", "warm_app", "live_stream", "live_segments",
-           "take_uops"]
+__all__ = ["warm_app", "live_stream", "live_segments", "take_uops"]
 
 
 def warm_app(app: "ServerApp", hierarchy: MemoryHierarchy,
@@ -61,8 +59,7 @@ def live_stream(app: "ServerApp", tid: int, budget: int,
 def live_segments(app: "ServerApp", tid: int, budget: int,
                   segments: int) -> List[Iterator[MicroOp]]:
     """Split a live budget into lazily-generated trace chunks
-    (round-robin multi-core interleaving; behind
-    :meth:`ServerApp.trace_segments`)."""
+    (round-robin multi-core interleaving; the chip runs' streams)."""
     per_segment = max(1, budget // segments)
     return [app.trace(tid, per_segment) for _ in range(segments)]
 
@@ -70,30 +67,3 @@ def live_segments(app: "ServerApp", tid: int, budget: int,
 def take_uops(app: "ServerApp", tid: int, budget: int) -> List[MicroOp]:
     """Materialize ``budget`` micro-ops of a live trace (debug dumps)."""
     return list(app.trace(tid, budget))
-
-
-class LiveSource:
-    """A :class:`~repro.trace.replay.TraceSource` over a live app.
-
-    ``budgets`` gives one measurement budget per hardware thread;
-    every stream is watchdog-guarded.  Used for SMT runs, where two
-    threads of one app must be pulled in core-interleaved order.
-    """
-
-    def __init__(self, app: "ServerApp", budgets: Sequence[int],
-                 label: str, warm_uops: int = 40_000) -> None:
-        self.app = app
-        self.budgets = tuple(budgets)
-        self.label = label
-        self.warm_uops = warm_uops
-
-    def warm_into(self, hierarchy: MemoryHierarchy) -> None:
-        """Live functional warming (see :func:`warm_app`)."""
-        warm_app(self.app, hierarchy, self.warm_uops)
-
-    def streams(self) -> List[Iterator[MicroOp]]:
-        """One guarded live stream per configured thread budget."""
-        return [
-            live_stream(self.app, tid, budget, self.label)
-            for tid, budget in enumerate(self.budgets)
-        ]

@@ -3,11 +3,13 @@
 :func:`materialize` is the single entry point the runner uses to obtain
 a trace: an in-process memo (content-keyed by fingerprint, so always
 safe to consult) in front of the on-disk :class:`~repro.trace.store.TraceStore`,
-in front of a fresh :func:`~repro.trace.capture.capture`.  The memo is
-bounded by encoded bytes (large enough for a full figure sweep's
-distinct traces) and survives ``use_cache=False`` runs because a trace
-is a pure function of its key: skipping the memo could only change
-wall-clock time, never a counter.
+in front of :func:`capture_fresh`, which captures now and is also the
+one way to get the live app that produced a trace (the faults figure
+reads its service metrics).  The memo is bounded by encoded bytes
+(large enough for a full figure sweep's distinct traces) and survives
+``use_cache=False`` runs because a trace is a pure function of its
+key: skipping the memo could only change wall-clock time, never a
+counter.
 
 :data:`TAPS` is the pipeline's observability surface: per-stage
 counters and wall-clock accumulators (capture, encode, store, decode,
@@ -38,8 +40,8 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.uarch.core import CoreResult
     from repro.uarch.params import MachineParams
 
-__all__ = ["TraceTaps", "TAPS", "materialize", "replay", "reset",
-           "trace_keys_for_cells", "materialize_cells"]
+__all__ = ["TraceTaps", "TAPS", "capture_fresh", "materialize", "replay",
+           "reset", "trace_keys_for_cells", "materialize_cells"]
 
 
 @dataclass
@@ -100,13 +102,10 @@ class TraceTaps:
 #: Process-global taps; reset alongside the runner cache.
 TAPS = TraceTaps()
 
-#: Fingerprint → (trace, producing app or None).  Content-keyed, so a
-#: hit is always observationally identical to a fresh capture.  A
-#: capture keeps its app here only under ``require_app``, the one
-#: caller that reads a memoized app: the byte budget below does not
-#: count apps.
-_MEMO: OrderedDict[str, tuple[CapturedTrace, "ServerApp | None"]] = \
-    OrderedDict()
+#: Fingerprint → trace.  Content-keyed, so a hit is always
+#: observationally identical to a fresh capture.  It holds no app: an
+#: app lives only as long as the capture that built it, or its caller.
+_MEMO: OrderedDict[str, CapturedTrace] = OrderedDict()
 #: Eviction is by encoded bytes, not entry count: under ``--no-cache``
 #: the memo is the *only* capture dedup, and Figure 4's size-major cell
 #: order cycles through every workload before reusing one — a small
@@ -134,44 +133,23 @@ def _tick() -> float:
     return perf_counter()
 
 
-def _memo_put(fingerprint: str,
-              entry: tuple[CapturedTrace, "ServerApp | None"]) -> None:
-    _MEMO[fingerprint] = entry
+def _memo_put(fingerprint: str, captured: CapturedTrace) -> None:
+    _MEMO[fingerprint] = captured
     _MEMO.move_to_end(fingerprint)
-    total = sum(trace.nbytes() for trace, _ in _MEMO.values())
+    total = sum(trace.nbytes() for trace in _MEMO.values())
     while total > _MEMO_BUDGET_BYTES and len(_MEMO) > 1:
-        _, (evicted, _) = _MEMO.popitem(last=False)
+        _, evicted = _MEMO.popitem(last=False)
         total -= evicted.nbytes()
 
 
-def materialize(key: TraceKey, use_store: bool = True,
-                require_app: bool = False
-                ) -> tuple[CapturedTrace, "ServerApp | None"]:
-    """The trace for ``key``: memo, then store, then fresh capture.
+def capture_fresh(key: TraceKey, use_store: bool = True
+                  ) -> tuple[CapturedTrace, "ServerApp"]:
+    """Capture ``key`` now, whatever the memo and store hold.
 
-    ``require_app=True`` forces a path that yields the live app that
-    produced the trace (the faults figure reads its service metrics);
-    a memo or store hit without one falls through to a fresh capture.
-    A fresh capture always returns its app, but the memo keeps it for
-    later hits only under ``require_app``.
-    ``use_store=False`` skips the on-disk store in both directions.
+    Counts the capture in the taps, writes the trace to the store when
+    ``use_store``, memoizes the trace (never the app), and returns the
+    trace with the live app that produced it.
     """
-    fingerprint = key.fingerprint()
-    hit = _MEMO.get(fingerprint)
-    if hit is not None and not (require_app and hit[1] is None):
-        _MEMO.move_to_end(fingerprint)
-        TAPS.memo_hits += 1
-        return hit
-    if use_store and not require_app:
-        store = TraceStore()
-        started = _tick()
-        captured = store.get(fingerprint)
-        TAPS.store_seconds += _tick() - started
-        if captured is not None:
-            TAPS.store_hits += 1
-            _memo_put(fingerprint, (captured, None))
-            return captured, None
-        TAPS.store_misses += 1
     started = _tick()
     captured, app = capture(key)
     TAPS.captures += 1
@@ -180,8 +158,32 @@ def materialize(key: TraceKey, use_store: bool = True,
     TAPS.encoded_bytes += captured.nbytes()
     if use_store:
         TraceStore().put(captured)
-    _memo_put(fingerprint, (captured, app if require_app else None))
+    _memo_put(captured.fingerprint, captured)
     return captured, app
+
+
+def materialize(key: TraceKey, use_store: bool = True) -> CapturedTrace:
+    """The trace for ``key``: memo, then store, then :func:`capture_fresh`.
+
+    ``use_store=False`` skips the on-disk store in both directions.
+    """
+    fingerprint = key.fingerprint()
+    hit = _MEMO.get(fingerprint)
+    if hit is not None:
+        _MEMO.move_to_end(fingerprint)
+        TAPS.memo_hits += 1
+        return hit
+    if use_store:
+        store = TraceStore()
+        started = _tick()
+        captured = store.get(fingerprint)
+        TAPS.store_seconds += _tick() - started
+        if captured is not None:
+            TAPS.store_hits += 1
+            _memo_put(fingerprint, captured)
+            return captured
+        TAPS.store_misses += 1
+    return capture_fresh(key, use_store)[0]
 
 
 def replay(captured: CapturedTrace,

@@ -24,35 +24,18 @@ path.
 from __future__ import annotations
 
 import gc
-from typing import TYPE_CHECKING, Iterable, Iterator, List, Protocol
+from typing import TYPE_CHECKING, Iterable
 
 from repro.trace.columns import ColumnBatch, batch_for
 from repro.uarch.core import Core, CoreResult
 from repro.uarch.fastpath import replay_columns
 from repro.uarch.hierarchy import MemoryHierarchy
 from repro.uarch.params import MachineParams
-from repro.uarch.uop import MicroOp
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.trace.capture import CapturedTrace
 
-__all__ = ["TraceSource", "ReplaySource", "fill_lines",
-           "functional_replay_batch", "replay_trace"]
-
-
-class TraceSource(Protocol):
-    """What a core-feeding stage needs from any trace provider.
-
-    Implemented by :class:`ReplaySource` (decoded captures) and
-    :class:`repro.trace.live.LiveSource` (generation-entangled runs);
-    the runner is indifferent to which it holds.
-    """
-
-    def warm_into(self, hierarchy: MemoryHierarchy) -> None:
-        """Functionally warm ``hierarchy`` for this trace."""
-
-    def streams(self) -> List[Iterator[MicroOp]]:
-        """One measurement micro-op iterator per hardware thread."""
+__all__ = ["fill_lines", "functional_replay_batch", "replay_trace"]
 
 
 def fill_lines(hierarchy: MemoryHierarchy,
@@ -88,22 +71,6 @@ def functional_replay_batch(hierarchy: MemoryHierarchy,
     hierarchy.warm_batch(batch.access_ops(line_shift))
 
 
-class ReplaySource:
-    """A :class:`TraceSource` over one :class:`CapturedTrace`."""
-
-    def __init__(self, captured: "CapturedTrace") -> None:
-        self.captured = captured
-
-    def warm_into(self, hierarchy: MemoryHierarchy) -> None:
-        """Replay the captured fill ranges and warm stream."""
-        fill_lines(hierarchy, self.captured.fill_ranges)
-        functional_replay_batch(hierarchy, batch_for(self.captured.warm))
-
-    def streams(self) -> List[Iterator[MicroOp]]:
-        """Fresh decode iterators, one per captured thread stream."""
-        return [stream.decode() for stream in self.captured.streams]
-
-
 def replay_trace(captured: "CapturedTrace",
                  params: MachineParams) -> CoreResult:
     """One timing measurement: warm a fresh hierarchy, run the core.
@@ -115,17 +82,17 @@ def replay_trace(captured: "CapturedTrace",
     the multi-million-element memoized trace columns — measured at
     roughly a third of replay wall time, collecting nothing.
     """
-    source = ReplaySource(captured)
     hierarchy = MemoryHierarchy(params)
     gc_was_enabled = gc.isenabled()
     if gc_was_enabled:
         gc.disable()
     try:
-        source.warm_into(hierarchy)
+        fill_lines(hierarchy, captured.fill_ranges)
+        functional_replay_batch(hierarchy, batch_for(captured.warm))
         core = Core(params, hierarchy)
         if len(captured.streams) == 1:
             return replay_columns(core, batch_for(captured.streams[0]))
-        return core.run(source.streams())
+        return core.run([stream.decode() for stream in captured.streams])
     finally:
         if gc_was_enabled:
             gc.enable()

@@ -16,7 +16,6 @@ from repro.uarch.hierarchy import MemoryHierarchy, AccessResult
 from repro.uarch.core import Core, CoreResult
 from repro.uarch.inorder import InOrderCore
 from repro.uarch.chip import Chip, ChipResult
-from repro.uarch.counters import CounterSet
 
 __all__ = [
     "MachineParams",
@@ -31,5 +30,4 @@ __all__ = [
     "InOrderCore",
     "Chip",
     "ChipResult",
-    "CounterSet",
 ]

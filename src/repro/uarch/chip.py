@@ -45,10 +45,6 @@ class ChipResult:
         return max((r.cycles for r in self.per_core), default=0)
 
     @property
-    def total_cycles(self) -> int:
-        return sum(r.cycles for r in self.per_core)
-
-    @property
     def instructions(self) -> int:
         return sum(r.instructions for r in self.per_core)
 

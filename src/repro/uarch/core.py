@@ -47,7 +47,6 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.uarch.branch import BranchPredictor
-from repro.uarch.counters import COUNTER_NAMES, CounterSet
 from repro.uarch.hierarchy import MemoryHierarchy
 from repro.uarch.params import MachineParams
 from repro.uarch.uop import MicroOp
@@ -116,12 +115,6 @@ class CoreResult:
     offchip_bytes: int = 0
     offchip_bytes_os: int = 0
     per_thread_instructions: list[int] = field(default_factory=list)
-
-    def to_counters(self) -> CounterSet:
-        c = CounterSet()
-        for name in COUNTER_NAMES:
-            c[name] = float(getattr(self, name))
-        return c
 
 
 class Core:

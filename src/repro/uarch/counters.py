@@ -1,21 +1,19 @@
-"""Performance-counter surface (the simulator's "VTune").
+"""Performance-counter schema (the simulator's "VTune" event list).
 
-:class:`CounterSet` flattens everything the experiments read — cycle
-breakdowns, cache miss counters, MLP, bandwidth, sharing — into named
-counters with the derived metrics used by the paper's figures.
+The figures read ``CoreResult`` fields directly and derive their
+metrics in :mod:`repro.core.analysis`; this module only names the
+scalar counters, which :meth:`repro.uarch.chip.ChipResult.summed` adds
+across cores.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
-
-#: The counter schema: every scalar counter a ``CoreResult`` carries,
-#: in the order ``to_counters`` exports them.  This tuple is the single
-#: source of truth the static counter-schema lint rule cross-checks
-#: against the ``CoreResult`` dataclass and the part/whole invariants
-#: in :mod:`repro.core.validate` — add a counter here *and* as a
-#: ``CoreResult`` field, or ``python -m repro lint`` fails the build.
+#: The counter schema: every scalar counter a ``CoreResult`` carries.
+#: This tuple is the single source of truth the static counter-schema
+#: lint rule cross-checks against the ``CoreResult`` dataclass and the
+#: part/whole invariants in :mod:`repro.core.validate` — add a counter
+#: here *and* as a ``CoreResult`` field, or ``python -m repro lint``
+#: fails the build.
 COUNTER_NAMES: tuple[str, ...] = (
     "cycles",
     "instructions",
@@ -46,75 +44,3 @@ COUNTER_NAMES: tuple[str, ...] = (
     "offchip_bytes",
     "offchip_bytes_os",
 )
-
-
-@dataclass
-class CounterSet:
-    """A named bag of counters plus derived-metric helpers."""
-
-    values: dict[str, float] = field(default_factory=dict)
-
-    def __getitem__(self, name: str) -> float:
-        return self.values[name]
-
-    def get(self, name: str, default: float = 0.0) -> float:
-        return self.values.get(name, default)
-
-    def __setitem__(self, name: str, value: float) -> None:
-        self.values[name] = value
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.values
-
-    # -- derived metrics -------------------------------------------------
-    @property
-    def cycles(self) -> float:
-        return self.values.get("cycles", 0.0)
-
-    @property
-    def instructions(self) -> float:
-        return self.values.get("instructions", 0.0)
-
-    @property
-    def ipc(self) -> float:
-        return self.instructions / self.cycles if self.cycles else 0.0
-
-    @property
-    def app_ipc(self) -> float:
-        """Application (user) instructions per total cycle."""
-        if not self.cycles:
-            return 0.0
-        return (self.instructions - self.get("os_instructions")) / self.cycles
-
-    @property
-    def mlp(self) -> float:
-        return self.get("mlp")
-
-    def mpki(self, counter: str) -> float:
-        """Misses (or any event) per kilo-instruction."""
-        if not self.instructions:
-            return 0.0
-        return 1000.0 * self.get(counter) / self.instructions
-
-    @property
-    def committing_fraction(self) -> float:
-        return self.get("committing_cycles") / self.cycles if self.cycles else 0.0
-
-    @property
-    def memory_cycles_fraction(self) -> float:
-        return self.get("memory_cycles") / self.cycles if self.cycles else 0.0
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(self.values)
-
-    def merge_sum(self, other: "CounterSet") -> None:
-        for key, value in other.values.items():
-            self.values[key] = self.values.get(key, 0.0) + value
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<CounterSet {len(self.values)} counters, IPC={self.ipc:.2f}>"
-
-
-def counters_from(core_result: Any) -> CounterSet:
-    """Build a CounterSet from a CoreResult-like object."""
-    return core_result.to_counters()

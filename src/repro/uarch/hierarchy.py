@@ -704,7 +704,3 @@ class MemoryHierarchy:
                             l1stats.os_data_hits += 1
                     continue
             access(addr, is_write, is_instr, is_os)
-
-    def warm_access(self, addr: int, is_write: bool = False, is_instr: bool = False) -> None:
-        """Functional-only access used to warm caches without timing."""
-        self.access(addr, is_write, is_instr, is_os=False)

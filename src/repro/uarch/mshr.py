@@ -37,9 +37,6 @@ class SuperQueue:
         self._completions.append(completion_cycle)
         self.requests += 1
 
-    def earliest_completion(self) -> int:
-        return min(self._completions)
-
     def advance(self, cycle: int) -> None:
         """Integrate occupancy from the last observed cycle up to `cycle`."""
         if cycle <= self._last_cycle:

@@ -107,11 +107,6 @@ class MachineParams:
         return replace(self, smt_threads=threads)
 
     @staticmethod
-    def xeon_x5670() -> "MachineParams":
-        """The paper's baseline machine (Table 1)."""
-        return MachineParams()
-
-    @staticmethod
     def table1_rows() -> list[tuple[str, str]]:
         """Human-readable Table 1, derived from the default parameters."""
         p = MachineParams()

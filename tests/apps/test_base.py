@@ -2,6 +2,7 @@
 
 from repro.apps.satsolver import SatSolverApp
 from repro.apps.synth import ParsecCpuApp
+from repro.trace.live import live_segments
 from repro.uarch.hierarchy import MemoryHierarchy
 from repro.uarch.params import MachineParams
 
@@ -30,9 +31,9 @@ class TestTracing:
         trace = list(app.trace(0, 3_000))
         assert len(trace) >= 3_000
 
-    def test_trace_segments_split_the_budget(self):
+    def test_live_segments_split_the_budget(self):
         app = ParsecCpuApp(seed=1)
-        segments = app.trace_segments(0, 4_000, 4)
+        segments = live_segments(app, 0, 4_000, 4)
         assert len(segments) == 4
         lengths = [len(list(segment)) for segment in segments]
         assert all(length >= 1_000 for length in lengths)

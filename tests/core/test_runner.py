@@ -1,7 +1,12 @@
 """Measurement runner: single, SMT, member, and chip runs."""
 
+import gc
+import weakref
+
 import pytest
 
+from repro.apps.base import ServerApp
+from repro.core import runner
 from repro.core.runner import (
     RunConfig,
     clear_cache,
@@ -14,6 +19,7 @@ from repro.core.runner import (
 )
 from repro.core import analysis
 from repro.core.workloads import ALL_WORKLOADS
+from repro.trace import pipeline as trace_pipeline
 
 
 class TestRunWorkload:
@@ -85,6 +91,35 @@ class TestChipRuns:
         summed = chip_run.summed
         # Independent processes: no remote-dirty hits at all.
         assert summed.remote_dirty_hits == 0
+
+
+class TestRunsHoldNoApp:
+    """A run is counters only: no app outlives the run that built it."""
+
+    def test_apps_die_while_lru_and_memo_keep_their_entries(
+            self, tiny_config, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))  # cold store
+        built = []
+        init = ServerApp.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(weakref.ref(self))
+
+        monkeypatch.setattr(ServerApp, "__init__", recording_init)
+        clear_cache()
+        try:
+            run_workload_smt("sat-solver", tiny_config)
+            run_workload_chip("sat-solver", tiny_config, num_cores=2,
+                              segments=2)
+            run_workload("mapreduce", tiny_config)
+            gc.collect()
+            assert len(built) == 4  # SMT 1, chip 2 (one per core), capture 1
+            assert [ref for ref in built if ref() is not None] == []
+            assert len(runner._CACHE) == 3
+            assert len(trace_pipeline._MEMO) == 1
+        finally:
+            clear_cache()
 
 
 class TestConfig:

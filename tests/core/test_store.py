@@ -36,7 +36,6 @@ class TestSerialization:
         assert restored.name == run.name
         assert restored.config == run.config
         assert restored.result == run.result
-        assert restored.app is None
 
     def test_fault_plan_config_round_trips(self):
         config = replace(WEE, fault_plan=FaultPlan.degraded(seed=3,

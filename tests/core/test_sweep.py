@@ -270,6 +270,6 @@ class TestAblationWatchdog:
             ablations.core_aggressiveness(self.WEDGE,
                                           workloads=["data-serving"])
 
-    def test_guarded_trace_passes_well_behaved_apps(self):
+    def test_watchdog_passes_well_behaved_apps(self):
         run = run_workload("sat-solver", WEE, use_cache=False)
         assert run.result.instructions >= WEE.window_uops

@@ -7,6 +7,8 @@ shape the Figure 8 extension reports.
 """
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,7 @@ from repro.__main__ import main
 from repro.core.experiments import figure8_faults
 from repro.core.runner import (
     RunConfig,
+    clear_cache,
     run_workload,
     run_workload_chip,
     run_workload_smt,
@@ -25,6 +28,8 @@ from repro.core.workloads import build_app
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.faults.retry import RetryPolicy
+from repro.trace import pipeline
+from repro.trace.capture import TraceKey
 
 FAULTED = RunConfig(window_uops=8_000, warm_uops=3_000, seed=7,
                     fault_plan=FaultPlan.degraded(seed=7))
@@ -41,6 +46,13 @@ def _faulted_app(name, plan, seed=7):
     return app
 
 
+def _measured(name, config):
+    """A fresh capture's replayed counters and the app that produced it."""
+    captured, app = pipeline.capture_fresh(TraceKey.from_config(name, config),
+                                           use_store=False)
+    return pipeline.replay(captured, config.params), app
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("name", ["data-serving", "web-search"])
     def test_faulted_traces_are_byte_identical(self, name):
@@ -50,17 +62,15 @@ class TestDeterminism:
         assert first == second
 
     def test_faulted_counters_are_bit_identical(self):
-        first = run_workload("data-serving", FAULTED, use_cache=False,
-                             require_app=True)
-        second = run_workload("data-serving", FAULTED, use_cache=False,
-                              require_app=True)
+        first, first_app = _measured("data-serving", FAULTED)
+        second, second_app = _measured("data-serving", FAULTED)
+        assert second_app is not first_app  # two captures, two apps
         for field in ("cycles", "instructions", "l1i_misses", "l2i_misses",
                       "llc_misses", "loads", "stores", "branches",
                       "offchip_bytes"):
-            assert getattr(first.result, field) \
-                == getattr(second.result, field), field
-        assert first.app.service.summary() == second.app.service.summary()
-        assert first.app.faults.fired == second.app.faults.fired
+            assert getattr(first, field) == getattr(second, field), field
+        assert first_app.service.summary() == second_app.service.summary()
+        assert first_app.faults.fired == second_app.faults.fired
 
     def test_plan_seed_changes_the_measurement(self):
         other = RunConfig(window_uops=8_000, warm_uops=3_000, seed=7,
@@ -103,31 +113,57 @@ class TestEmptyPlanIsStrictNoOp:
 
 class TestDegradedModeAcceptance:
     def test_degraded_serving_pays_in_ifootprint_and_tail(self):
-        healthy = run_workload("data-serving", HEALTHY, require_app=True)
-        degraded = run_workload("data-serving", FAULTED, require_app=True)
+        healthy, healthy_app = _measured("data-serving", HEALTHY)
+        degraded, degraded_app = _measured("data-serving", FAULTED)
 
         from repro.core import analysis
 
         # Fault handling executes real extra code: the instruction
         # footprint (and its L1-I miss rate) must grow measurably.
-        assert degraded.app.layout.app_code_bytes() \
-            > healthy.app.layout.app_code_bytes()
-        assert analysis.instruction_mpki(degraded.result) \
-            > analysis.instruction_mpki(healthy.result)
+        assert degraded_app.layout.app_code_bytes() \
+            > healthy_app.layout.app_code_bytes()
+        assert analysis.instruction_mpki(degraded) \
+            > analysis.instruction_mpki(healthy)
 
         # Clients observed the faults: retries happened, the latency
         # tail stretched, but goodput loss stayed bounded.
-        service = degraded.app.service
+        service = degraded_app.service
         assert service.retries > 0
-        assert service.p99() > healthy.app.service.p99()
+        assert service.p99() > healthy_app.service.p99()
         assert service.goodput() >= 0.9
-        assert degraded.app.faults.total_fired() > 0
+        assert degraded_app.faults.total_fired() > 0
 
     def test_healthy_runs_never_touch_fault_accounting(self):
-        healthy = run_workload("data-serving", HEALTHY, require_app=True)
-        assert healthy.app.faults is None
-        assert healthy.app.service.retries == 0
-        assert healthy.app.service.goodput() == 1.0
+        _, healthy_app = _measured("data-serving", HEALTHY)
+        assert healthy_app.faults is None
+        assert healthy_app.service.retries == 0
+        assert healthy_app.service.goodput() == 1.0
+
+
+class TestResilienceDocExample:
+    """``docs/resilience.md``'s Python example, run as written (at a
+    small window) twice in one cache root."""
+
+    def test_second_run_in_one_cache_root(self, tmp_path, monkeypatch,
+                                          capsys):
+        doc = Path(__file__).resolve().parents[2] / "docs" / "resilience.md"
+        example, = re.findall(r"```python\n(.*?)```", doc.read_text(),
+                              flags=re.S)
+        code = example.replace("window_uops=40_000", "window_uops=8_000")
+        assert code != example
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        printed = []
+        for _ in range(2):
+            clear_cache()  # a new process: empty LRU and memo
+            exec(compile(code, str(doc), "exec"), {})
+            printed.append(capsys.readouterr().out)
+        # The second run's counters come from the trace store; its app
+        # from a capture of its own.
+        assert pipeline.TAPS.store_hits == 1
+        assert pipeline.TAPS.captures == 1
+        assert printed[0] == printed[1]
+        assert "goodput" in printed[1]
+        clear_cache()
 
 
 class TestFigure8:
@@ -224,6 +260,25 @@ class TestFigure8:
         monkeypatch.setattr(ResultStore, "get_faults", no_reads)
         assert main(argv + ["--no-cache"]) == 0
         assert capsys.readouterr().out == cached
+
+    def test_taps_line_goes_to_stderr(self, tmp_path, monkeypatch, capsys):
+        """Each cold cell captures and replays once; a rerun takes every
+        row from the result store, so it does no trace work and prints
+        no taps line."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        argv = ["faults", "data-serving", "--window", "8000",
+                "--warm", "3000"]
+        clear_cache()
+        assert main(argv) == 0
+        cold = capsys.readouterr()
+        assert "trace pipeline: 2 capture(s) (" in cold.err
+        assert ", 2 replay(s) (" in cold.err
+        assert "trace pipeline" not in cold.out
+        clear_cache()
+        assert main(argv) == 0
+        rerun = capsys.readouterr()
+        assert (rerun.out, rerun.err) == (cold.out, "")
+        clear_cache()
 
     def test_sweep_flags_reach_the_faults_engine(self, monkeypatch):
         """``--jobs``, ``--timeout``, ``--retries`` and ``--resume`` are

@@ -253,14 +253,6 @@ def test_app_trace_drain_flagged(tmp_path):
     assert "bypasses capture" in findings[0].message
 
 
-def test_trace_segments_flagged(tmp_path):
-    findings = lint_snippet(tmp_path, """
-        def segments(app):
-            return app.trace_segments(0, 1000, 4)
-        """)
-    assert rules_of(findings) == {"trace-layer"}
-
-
 def test_raw_guard_trace_flagged(tmp_path):
     findings = lint_snippet(tmp_path, """
         from repro.faults.watchdog import guard_trace
@@ -280,12 +272,12 @@ def test_trace_package_is_allowed(tmp_path):
     assert findings == []
 
 
-def test_runner_facade_is_allowed(tmp_path):
+def test_runner_is_not_exempt(tmp_path):
     findings = lint_snippet(tmp_path, """
-        def guarded_trace(app, tid, budget, label):
+        def measure(app, tid, budget):
             return app.trace(tid, budget)
         """, relpath="core/runner.py")
-    assert findings == []
+    assert rules_of(findings) == {"trace-layer"}
 
 
 def test_unrelated_trace_names_allowed(tmp_path):

@@ -62,7 +62,7 @@ class TestOpClassCapture:
                                                      monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         key = _key("hint")
-        first, _ = pipeline.materialize(key, use_store=True)
-        second, _ = pipeline.materialize(key, use_store=True)
+        first = pipeline.materialize(key, use_store=True)
+        second = pipeline.materialize(key, use_store=True)
         assert second.meta["request_uops"] == first.meta["request_uops"]
         assert second.fingerprint == first.fingerprint

@@ -15,13 +15,15 @@ from repro.core.experiments import figure4, figure5
 from repro.core.runner import RunConfig, clear_cache
 from repro.core.sweep import Cell, SweepEngine
 from repro.trace import pipeline
-from repro.trace.capture import TraceKey
+from repro.trace.capture import CapturedTrace, TraceKey
 from repro.trace.pipeline import (
     TAPS,
+    capture_fresh,
     materialize,
     materialize_cells,
     trace_keys_for_cells,
 )
+from repro.trace.store import TraceStore, serialize
 
 WEE = RunConfig(window_uops=6_000, warm_uops=2_000)
 
@@ -38,10 +40,9 @@ def fresh_pipeline(tmp_path, monkeypatch):
 class TestMaterialize:
     def test_capture_then_memo_hit(self):
         key = TraceKey("sat-solver", window_uops=6_000, warm_uops=2_000)
-        first, app = materialize(key)
-        assert app is not None
+        first = materialize(key)
         assert TAPS.captures == 1
-        again, _ = materialize(key)
+        again = materialize(key)
         assert again is first
         assert TAPS.captures == 1
         assert TAPS.memo_hits == 1
@@ -50,8 +51,7 @@ class TestMaterialize:
         key = TraceKey("sat-solver", window_uops=6_000, warm_uops=2_000)
         materialize(key)
         pipeline.reset()  # simulate a fresh process, same cache dir
-        restored, app = materialize(key)
-        assert app is None  # store hits cannot resurrect the live app
+        restored = materialize(key)
         assert TAPS.captures == 0
         assert TAPS.store_hits == 1
         assert restored.fingerprint == key.fingerprint()
@@ -65,41 +65,50 @@ class TestMaterialize:
         assert TAPS.store_misses == 0
         assert TAPS.captures == 1  # no store, so the capture repeats
 
-    def test_require_app_falls_through_store_hits(self):
-        key = TraceKey("sat-solver", window_uops=6_000, warm_uops=2_000)
-        materialize(key)
-        pipeline.reset()
-        _, app = materialize(key, require_app=True)
-        assert app is not None
-        assert TAPS.captures == 1
-        # And the app-bearing entry now serves require_app memo hits.
-        _, again = materialize(key, require_app=True)
-        assert again is app
-        assert TAPS.memo_hits == 1
-
-    def test_memo_keeps_the_app_only_when_asked(self):
-        key = TraceKey("sat-solver", window_uops=6_000, warm_uops=2_000)
-        _, app = materialize(key, use_store=False)
-        assert app is not None  # a fresh capture still returns its app
-        _, hit = materialize(key, use_store=False)
-        assert hit is None
-        assert TAPS.memo_hits == 1
-        # A require_app hit on that entry recaptures, then keeps its app.
-        _, kept = materialize(key, use_store=False, require_app=True)
-        assert kept is not None and kept is not app
-        assert TAPS.captures == 2
-        _, again = materialize(key, use_store=False)
-        assert again is kept
-        assert TAPS.captures == 2
-
     def test_sweep_pre_captures_keep_no_app(self):
-        """A sweep's cells replay traces only; the memo must not hold
-        the apps that produced them."""
+        """A sweep's cells replay traces only; the memo holds the
+        traces and nothing else."""
         cells = [Cell("single", name, WEE)
                  for name in ("sat-solver", "mapreduce")]
         SweepEngine(jobs=1, use_cache=False).run(cells)
         assert len(pipeline._MEMO) == 2
-        assert all(app is None for _, app in pipeline._MEMO.values())
+        assert all(type(entry) is CapturedTrace
+                   for entry in pipeline._MEMO.values())
+
+
+class TestCaptureFresh:
+    """The one way to a producing app: capture now, keep the trace."""
+
+    KEY = TraceKey("sat-solver", window_uops=6_000, warm_uops=2_000)
+
+    def test_counts_one_capture(self):
+        captured, app = capture_fresh(self.KEY)
+        assert app is not None
+        assert TAPS.captures == 1
+        assert TAPS.capture_uops == captured.total_uops()
+        assert TAPS.memo_hits == TAPS.store_hits == TAPS.store_misses == 0
+
+    def test_stores_the_trace_when_use_store(self):
+        captured, _ = capture_fresh(self.KEY)
+        stored = TraceStore().get(self.KEY.fingerprint())
+        assert stored is not None
+        assert serialize(stored) == serialize(captured)
+
+    def test_memo_entry_is_the_trace(self):
+        captured, _ = capture_fresh(self.KEY, use_store=False)
+        assert pipeline._MEMO[self.KEY.fingerprint()] is captured
+        assert materialize(self.KEY, use_store=False) is captured
+        assert TAPS.memo_hits == 1
+        assert TAPS.captures == 1
+
+    def test_second_call_captures_again_with_a_new_app(self):
+        first, app = capture_fresh(self.KEY)
+        second, again = capture_fresh(self.KEY)
+        assert again is not app
+        assert second is not first
+        assert serialize(second) == serialize(first)
+        assert TAPS.captures == 2
+        assert pipeline._MEMO[self.KEY.fingerprint()] is second
 
 
 class TestTraceKeysForCells:

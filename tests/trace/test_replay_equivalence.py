@@ -2,14 +2,15 @@
 
 This is the contract the whole refactor rests on: for every workload in
 the registry, feeding a core the captured-and-decoded stream produces a
-``CoreResult`` whose ``to_counters()`` matches a live generation run
-exactly — not approximately.  The live side below is the pre-refactor
-runner path, spelled through the same ``LiveSource`` the SMT runs use.
+``CoreResult`` whose every field (``per_thread_instructions`` included)
+matches a live generation run exactly — not approximately.  The live
+side below is the pre-refactor runner path, spelled through the same
+``warm_app`` and ``live_stream`` the SMT runs use.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -17,8 +18,8 @@ from repro.core.workloads import REGISTRY
 from repro.faults.plan import FaultPlan
 from repro.trace.capture import TraceKey, build_app_for, capture
 from repro.trace.columns import batch_for
-from repro.trace.live import LiveSource
-from repro.trace.replay import ReplaySource, replay_trace
+from repro.trace.live import live_stream, warm_app
+from repro.trace.replay import fill_lines, functional_replay_batch, replay_trace
 from repro.trace.store import deserialize, serialize
 from repro.uarch.core import Core
 from repro.uarch.counters import COUNTER_NAMES
@@ -33,18 +34,17 @@ WARM = 2_000
 def live_counters(key: TraceKey, params: MachineParams) -> dict:
     """A live measurement: generation feeds the core directly."""
     app = build_app_for(key)
-    source = LiveSource(app, budgets=(key.window_uops,),
-                        label=key.label(), warm_uops=key.warm_uops)
     hierarchy = MemoryHierarchy(params)
-    source.warm_into(hierarchy)
-    result = Core(params, hierarchy).run(source.streams())
-    return dict(result.to_counters().values)
+    warm_app(app, hierarchy, key.warm_uops)
+    result = Core(params, hierarchy).run(
+        [live_stream(app, 0, key.window_uops, key.label())])
+    return asdict(result)
 
 
 def replayed_counters(key: TraceKey, params: MachineParams) -> dict:
     """The same measurement through capture, encode, decode, replay."""
     captured, _app = capture(key)
-    return dict(replay_trace(captured, params).to_counters().values)
+    return asdict(replay_trace(captured, params))
 
 
 @pytest.mark.parametrize("name", sorted(REGISTRY))
@@ -81,7 +81,7 @@ def test_one_capture_serves_many_machine_configs():
     baseline = MachineParams()
     variant = baseline.with_llc_mb(4)
     for params in (baseline, variant):
-        replayed = dict(replay_trace(captured, params).to_counters().values)
+        replayed = asdict(replay_trace(captured, params))
         assert replayed == live_counters(key, params)
 
 
@@ -95,15 +95,15 @@ def test_one_capture_serves_many_machine_configs():
 
 def engine_counters(captured, params: MachineParams, engine: str) -> dict:
     """One measurement through an explicitly chosen entry point."""
-    source = ReplaySource(captured)
     hierarchy = MemoryHierarchy(params)
-    source.warm_into(hierarchy)
+    fill_lines(hierarchy, captured.fill_ranges)
+    functional_replay_batch(hierarchy, batch_for(captured.warm))
     core = Core(params, hierarchy)
     if engine == "columnar":
         result = replay_columns(core, batch_for(captured.streams[0]))
     else:
-        result = core.run(source.streams())
-    return dict(result.to_counters().values)
+        result = core.run([stream.decode() for stream in captured.streams])
+    return asdict(result)
 
 
 @pytest.mark.parametrize("name", sorted(REGISTRY))
@@ -115,7 +115,7 @@ def test_columnar_engine_matches_general_loop(name):
     fast = engine_counters(captured, params, "columnar")
     general = engine_counters(captured, params, "general")
     assert fast == general
-    assert set(fast) == set(COUNTER_NAMES)
+    assert set(fast) == {*COUNTER_NAMES, "per_thread_instructions"}
 
 
 def wide_line_params() -> MachineParams:
@@ -156,6 +156,6 @@ def test_store_round_trip_preserves_counters():
     key = TraceKey("mapreduce", window_uops=WINDOW, warm_uops=WARM)
     captured, _app = capture(key)
     params = MachineParams()
-    direct = dict(replay_trace(captured, params).to_counters().values)
+    direct = asdict(replay_trace(captured, params))
     restored = deserialize(serialize(captured))
-    assert dict(replay_trace(restored, params).to_counters().values) == direct
+    assert asdict(replay_trace(restored, params)) == direct

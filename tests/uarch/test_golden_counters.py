@@ -1,8 +1,8 @@
 """Golden counters: the cycle loop's output, frozen byte-for-byte.
 
-``golden_counters.json`` holds ``to_counters()`` and
-``per_thread_instructions`` for every measurement shape the figures
-use — a replayed capture, a live single thread, a live SMT pair, the
+``golden_counters.json`` holds every ``COUNTER_NAMES`` counter (as a
+float) and ``per_thread_instructions`` for every measurement shape the
+figures use — a replayed capture, a live single thread, a live SMT pair, the
 synthetic groups' members, a four-core chip run in eight segments, a
 fault-injected capture, a 128-byte-line machine and a 4 MB LLC (one of
 the Figure 4 sweep sizes).  The replay, member and fault cases also
@@ -27,10 +27,11 @@ from repro.core.runner import _GROUP_MEMBERS, RunConfig, run_workload_chip
 from repro.core.workloads import REGISTRY, build_app
 from repro.faults.plan import FaultPlan
 from repro.trace.capture import TraceKey, build_app_for, capture
-from repro.trace.live import LiveSource
+from repro.trace.live import live_stream, warm_app
 from repro.trace.replay import replay_trace
 from repro.trace.store import serialize
 from repro.uarch.core import Core, CoreResult
+from repro.uarch.counters import COUNTER_NAMES
 from repro.uarch.hierarchy import MemoryHierarchy
 from repro.uarch.params import MachineParams
 from tests.trace.test_replay_equivalence import wide_line_params
@@ -47,7 +48,8 @@ VARIANT_WORKLOADS = ("data-serving", "web-search", "sat-solver")
 
 
 def _record(result: CoreResult, captured=None) -> dict:
-    record = {"counters": dict(result.to_counters().values),
+    record = {"counters": {name: float(getattr(result, name))
+                           for name in COUNTER_NAMES},
               "per_thread_instructions": list(result.per_thread_instructions)}
     if captured is not None:
         # The store container's own SHA-256 trailer: every trace byte.
@@ -64,10 +66,11 @@ def _replayed(key: TraceKey, params: MachineParams,
 
 def _live(app, params: MachineParams, budgets: tuple[int, ...],
           label: str) -> dict:
-    source = LiveSource(app, budgets=budgets, label=label, warm_uops=WARM)
     hierarchy = MemoryHierarchy(params)
-    source.warm_into(hierarchy)
-    return _record(Core(params, hierarchy).run(source.streams()))
+    warm_app(app, hierarchy, WARM)
+    streams = [live_stream(app, tid, budget, label)
+               for tid, budget in enumerate(budgets)]
+    return _record(Core(params, hierarchy).run(streams))
 
 
 def _case_replay(name: str) -> dict:

@@ -1,9 +1,7 @@
-"""Micro-op record and the performance-counter surface."""
+"""The micro-op record."""
 
 import pytest
 
-from repro.uarch.core import CoreResult
-from repro.uarch.counters import CounterSet, counters_from
 from repro.uarch.uop import MicroOp, OpKind
 
 
@@ -29,55 +27,3 @@ class TestMicroOp:
         uop = MicroOp(OpKind.ALU, 0)
         with pytest.raises(AttributeError):
             uop.color = "red"
-
-
-class TestCounterSet:
-    def test_mapping_interface(self):
-        counters = CounterSet()
-        counters["cycles"] = 100.0
-        assert counters["cycles"] == 100.0
-        assert "cycles" in counters
-        assert counters.get("nothing", 7.0) == 7.0
-
-    def test_derived_metrics(self):
-        counters = CounterSet({
-            "cycles": 200.0, "instructions": 100.0, "os_instructions": 20.0,
-            "committing_cycles": 50.0, "memory_cycles": 120.0, "mlp": 1.7,
-            "l1i_misses": 5.0,
-        })
-        assert counters.ipc == pytest.approx(0.5)
-        assert counters.app_ipc == pytest.approx(0.4)
-        assert counters.mlp == pytest.approx(1.7)
-        assert counters.committing_fraction == pytest.approx(0.25)
-        assert counters.memory_cycles_fraction == pytest.approx(0.6)
-        assert counters.mpki("l1i_misses") == pytest.approx(50.0)
-
-    def test_zero_guards(self):
-        empty = CounterSet()
-        assert empty.ipc == 0.0
-        assert empty.app_ipc == 0.0
-        assert empty.mpki("anything") == 0.0
-        assert empty.committing_fraction == 0.0
-
-    def test_merge_sum(self):
-        a = CounterSet({"cycles": 10.0, "instructions": 5.0})
-        b = CounterSet({"cycles": 20.0, "loads": 3.0})
-        a.merge_sum(b)
-        assert a["cycles"] == 30.0
-        assert a["instructions"] == 5.0
-        assert a["loads"] == 3.0
-
-    def test_as_dict_copies(self):
-        counters = CounterSet({"cycles": 1.0})
-        copied = counters.as_dict()
-        copied["cycles"] = 99.0
-        assert counters["cycles"] == 1.0
-
-    def test_core_result_round_trip(self):
-        result = CoreResult(cycles=100, instructions=60, mlp=2.5,
-                            l1i_misses=7, offchip_bytes=640)
-        counters = counters_from(result)
-        assert counters.cycles == 100.0
-        assert counters.ipc == pytest.approx(0.6)
-        assert counters["l1i_misses"] == 7.0
-        assert counters["offchip_bytes"] == 640.0
