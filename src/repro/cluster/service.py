@@ -23,11 +23,15 @@ health-checked :class:`~repro.cluster.balancer.LoadBalancer`:
   cannot hide its own queueing delay (coordinated omission).
 
 Everything runs on the :class:`~repro.cluster.clock.EventLoop`; the
-whole run is a pure function of the config.
+whole run is a pure function of the config.  The load itself (each
+request's intended start, key and read/write coin) depends only on the
+config's load fields, so it is a :class:`LoadSchedule` built once per
+process and shared by every fleet that plays it.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 
@@ -41,8 +45,8 @@ from repro.cluster.recorder import LatencyRecorder
 from repro.cluster.ring import HashRing
 from repro.faults.plan import FaultPlan
 from repro.faults.retry import RetryPolicy
-from repro.load.distributions import ScrambledZipf, UniformGenerator, \
-    build_arrivals
+from repro.load.distributions import ARRIVAL_SHAPES, ScrambledZipf, \
+    UniformGenerator, build_arrivals
 from repro.machine.hashing import stable_hash
 
 
@@ -106,6 +110,14 @@ class ClusterConfig:
             raise ValueError("replication must be in [1, fleet]")
         if self.requests < 1:
             raise ValueError("requests must be positive")
+        if self.arrival not in ARRIVAL_SHAPES:
+            raise ValueError(
+                f"arrival must be one of {', '.join(ARRIVAL_SHAPES)}, "
+                f"got {self.arrival!r}")
+        if self.mean_gap_us < 1:
+            raise ValueError("mean_gap_us must be positive")
+        if self.keyspace < 1:
+            raise ValueError("keyspace must be positive")
         if not 0.0 <= self.read_fraction <= 1.0:
             raise ValueError("read_fraction must be in [0, 1]")
         if self.theta and not 0.0 < self.theta < 1.0:
@@ -121,6 +133,55 @@ class ClusterConfig:
         return (attempts * int(self.policy.timeout)
                 + self.policy.max_retries * int(self.policy.cap_delay)
                 + 4 * self.network_us)
+
+    def load(self) -> LoadSchedule:
+        """The open-loop load this cell plays; every config with the
+        same load fields gets the same :class:`LoadSchedule` object."""
+        return load_schedule(self.arrival, self.mean_gap_us, self.keyspace,
+                             self.theta, self.seed, self.requests)
+
+
+def request_rng(seed: int, rid: int) -> random.Random:
+    """Request ``rid``'s private RNG: its first draw is the read/write
+    coin, a read's backoff schedule comes next."""
+    return random.Random(stable_hash(("req", seed, rid)))
+
+
+@dataclass(frozen=True)
+class LoadSchedule:
+    """Requests ``0 … N-1`` of one load, indexed by rid: intended
+    (open-loop) start in µs, key, and the first draw of
+    :func:`request_rng`, which makes the request a read when it is
+    below the config's ``read_fraction``."""
+
+    starts: tuple[int, ...]
+    keys: tuple[int, ...]
+    coins: tuple[float, ...]
+
+
+# ``typed``: ``stable_hash`` folds each field's repr, so ``seed=1`` and
+# ``seed=True`` are different loads although they compare equal.
+@functools.lru_cache(maxsize=16, typed=True)
+def load_schedule(arrival: str, mean_gap_us: int, keyspace: int,
+                  theta: float, seed: int, requests: int) -> LoadSchedule:
+    """Play the arrival process, key generator and request coins for
+    one load.  Cached: a sweep grid prices each load on many fleets,
+    and these six fields are everything the load depends on."""
+    key_seed = stable_hash(("keys", seed))
+    keys = (ScrambledZipf(keyspace, theta=theta, seed=key_seed) if theta
+            else UniformGenerator(keyspace, seed=key_seed))
+    arrivals = build_arrivals(arrival, mean_gap_us,
+                              seed=stable_hash(("arrivals", seed)))
+    starts = []
+    when = 0
+    for _ in range(requests):
+        when += arrivals.next_gap(when)
+        starts.append(when)
+    return LoadSchedule(
+        starts=tuple(starts),
+        keys=tuple(keys.next() for _ in range(requests)),
+        coins=tuple(request_rng(seed, rid).random()
+                    for rid in range(requests)))
 
 
 class ClusterService:
@@ -143,15 +204,7 @@ class ClusterService:
         self.ring = HashRing(self.node_ids, vnodes=config.vnodes)
         self.balancer = LoadBalancer(self.node_ids)
         self.recorder = LatencyRecorder()
-        if config.theta:
-            self._keys = ScrambledZipf(config.keyspace, theta=config.theta,
-                                       seed=stable_hash(("keys", config.seed)))
-        else:
-            self._keys = UniformGenerator(
-                config.keyspace, seed=stable_hash(("keys", config.seed)))
-        self._arrivals = build_arrivals(
-            config.arrival, config.mean_gap_us,
-            seed=stable_hash(("arrivals", config.seed)))
+        self.schedule = config.load()
         #: coordinator-side version counter per key
         self._versions: dict[int, int] = {}
         #: every (key, version) the client was told is durable
@@ -159,25 +212,17 @@ class ClusterService:
         self.acked_writes = 0
 
     # -- request entry points ----------------------------------------------
-    def _request_rng(self, rid: int) -> random.Random:
-        return random.Random(stable_hash(("req", self.config.seed, rid)))
-
     def _start_request(self, rid: int, intended: int) -> None:
-        rng = self._request_rng(rid)
-        key = self._keys.next()
-        is_read = rng.random() < self.config.read_fraction
+        key = self.schedule.keys[rid]
         walk = self.ring.walk(key)
         replication = self.config.replication
         pref = list(walk[:replication])
-        if is_read:
-            # The backoff schedule is drawn from ``rng`` at the first
-            # retry: nothing else draws from it after ``is_read``, so
-            # the delays are the numbers an up-front draw would give.
+        if self.schedule.coins[rid] < self.config.read_fraction:
             state = {
                 "rid": rid, "key": key, "intended": intended, "pref": pref,
                 "attempts": 0, "retries": 0, "outstanding": 0,
                 "hedged": False, "done": False, "timed_out": False,
-                "rng": rng, "backoffs": None,
+                "backoffs": None,
             }
             self._send_read(state, self._pick_target(state))
             self.loop.after(int(self.policy.hedge_after),
@@ -260,7 +305,12 @@ class ClusterService:
         index = state["retries"]
         if index < self.policy.max_retries:
             if state["backoffs"] is None:
-                state["backoffs"] = self.policy.schedule(state["rng"])
+                # Drawn at the first retry from the request's RNG, past
+                # the coin the schedule already holds: the numbers an
+                # up-front draw would give, since nothing else draws.
+                rng = request_rng(self.config.seed, state["rid"])
+                rng.random()
+                state["backoffs"] = self.policy.schedule(rng)
             state["retries"] += 1
             delay = int(state["backoffs"][index])
             self.loop.after(delay, lambda: self._retry_read(state))
@@ -452,11 +502,9 @@ class ClusterService:
     # -- the run -----------------------------------------------------------
     def run(self) -> dict:
         config = self.config
-        when = 0
-        for rid in range(config.requests):
-            when += self._arrivals.next_gap(when)
+        for rid, when in enumerate(self.schedule.starts):
             self.loop.at(when, lambda r=rid, t=when: self._start_request(r, t))
-        last_intended = when
+        last_intended = self.schedule.starts[-1]
         self._schedule_faults()
         self.loop.after(config.probe_interval_us,
                         lambda: self._probe(config.requests))

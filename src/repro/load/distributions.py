@@ -79,6 +79,10 @@ class ZipfGenerator:
         return int(self.n * math.pow(self._eta * u - self._eta + 1.0, self._alpha))
 
 
+_FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = 0x100000001B3
+
+
 class ScrambledZipf:
     """Zipf ranks hashed over the keyspace (YCSB's scrambled Zipfian)."""
 
@@ -88,12 +92,27 @@ class ScrambledZipf:
 
     @staticmethod
     def _fnv(value: int) -> int:
-        h = 0xCBF29CE484222325
+        h = _FNV_OFFSET
         for _ in range(8):
             h ^= value & 0xFF
-            h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+            h = (h * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
             value >>= 8
         return h
+
+    @staticmethod
+    def scramble_ranks(count: int, n: int) -> list[int]:
+        """``_fnv(rank) % n`` for ranks ``0 … count-1`` in one numpy
+        pass: uint64 multiplies wrap mod 2**64 exactly like ``_fnv``'s
+        mask."""
+        import numpy as np
+
+        value = np.arange(count, dtype=np.uint64)
+        h = np.full(count, _FNV_OFFSET, dtype=np.uint64)
+        for _ in range(8):
+            h ^= value & np.uint64(0xFF)
+            h *= np.uint64(_FNV_PRIME)
+            value >>= np.uint64(8)
+        return (h % np.uint64(n)).tolist()
 
     def next(self) -> int:
         return self._fnv(self._zipf.next()) % self.n

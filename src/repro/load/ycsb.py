@@ -57,10 +57,8 @@ class YcsbClient:
     def hot_keys(self, count: int) -> list[int]:
         """The keys of the ``count`` most popular Zipf ranks (the hot set
         a long steady-state run leaves resident in the LLC)."""
-        from repro.load.distributions import ScrambledZipf
-
-        count = min(count, self.record_count)
-        return [ScrambledZipf._fnv(rank) % self.record_count for rank in range(count)]
+        return ScrambledZipf.scramble_ranks(min(count, self.record_count),
+                                            self.record_count)
 
     def next_op(self) -> YcsbOp:
         """Draw the next operation: a scrambled-Zipfian key and a kind

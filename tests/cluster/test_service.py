@@ -14,10 +14,12 @@ from dataclasses import replace
 
 import pytest
 
+from repro.cluster.calibrate import static_model
 from repro.cluster.faults import (CLUSTER_FAULT_PLANS, ClusterFaultEvent,
                                   ClusterFaultPlan)
 from repro.cluster.service import (ClusterConfig, default_cluster_policy,
-                                   simulate)
+                                   load_schedule, simulate)
+from repro.faults.plan import FaultPlan
 
 #: Small but busy: enough writes per key for hints and repairs to occur.
 BASE = ClusterConfig(fleet=4, replication=2, requests=800, keyspace=64,
@@ -31,6 +33,7 @@ def test_same_seed_is_byte_identical():
     plan = ClusterFaultPlan.node_crash()
     config = replace(BASE, fault_plan=plan)
     first = json.dumps(simulate(config), sort_keys=True)
+    load_schedule.cache_clear()  # the second run builds its own load
     second = json.dumps(simulate(config), sort_keys=True)
     assert first == second
 
@@ -39,6 +42,34 @@ def test_different_seeds_differ():
     first = simulate(BASE)
     second = simulate(replace(BASE, seed=12))
     assert first != second
+
+
+@pytest.mark.parametrize("field, value", [
+    ("arrival", "bursty"), ("mean_gap_us", 151), ("keyspace", 65),
+    ("theta", 0.99), ("seed", 12), ("requests", 801)])
+def test_each_load_field_changes_the_schedule(field, value):
+    changed = replace(BASE, **{field: value})
+    schedule = changed.load()
+    assert schedule != BASE.load()
+    load_schedule.cache_clear()
+    assert changed.load() == schedule  # the cache served a fresh build
+
+
+def test_fleet_fields_share_one_schedule():
+    measured = replace(static_model("data-serving"), source="measured",
+                       uarch="0" * 64, blade_mhz=2930.0)
+    variants = [
+        replace(BASE, fleet=8), replace(BASE, replication=1),
+        replace(BASE, vnodes=5), replace(BASE, fault_plan=SHORT_CRASH),
+        replace(BASE, node_plan=FaultPlan.degraded(seed=3)),
+        replace(BASE, costs="measured", cost_model=measured),
+        replace(BASE, policy=replace(default_cluster_policy(),
+                                     max_retries=1)),
+        replace(BASE, read_fraction=0.95), replace(BASE, network_us=80),
+        replace(BASE, workers_per_node=2),
+        replace(BASE, probe_interval_us=5_000),
+    ]
+    assert all(variant.load() is BASE.load() for variant in variants)
 
 
 def test_killing_fewer_than_r_replicas_loses_no_acked_write():
@@ -115,3 +146,9 @@ def test_config_validation():
                                      timeout=None))
     with pytest.raises(ValueError, match="fleet"):
         ClusterConfig(fleet=0)
+    with pytest.raises(ValueError, match="arrival"):
+        ClusterConfig(arrival="meteor")
+    with pytest.raises(ValueError, match="mean_gap_us"):
+        ClusterConfig(mean_gap_us=0)
+    with pytest.raises(ValueError, match="keyspace"):
+        ClusterConfig(keyspace=0)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.faults.metrics import ServiceMetrics
 from repro.faults.retry import RetryPolicy
+from repro.load.distributions import ScrambledZipf
 from repro.load.faban import FabanDriver
 from repro.load.ycsb import YcsbClient
 
@@ -30,6 +31,15 @@ class TestYcsb:
         hot = client.hot_keys(1000)
         assert len(hot) == 1000
         assert all(0 <= k < 100_000 for k in hot)
+
+    @pytest.mark.parametrize("records, count", [
+        (1, 10), (255, 10_000), (257, 10_000), (4_096, 10_000),
+        (75_000, 10_000), (100_000, 70_000), (2**40 + 3, 300)])
+    def test_hot_keys_match_the_scalar_hash(self, records, count):
+        hot = YcsbClient(records, seed=3).hot_keys(count)
+        assert hot == [ScrambledZipf._fnv(rank) % records
+                       for rank in range(min(count, records))]
+        assert all(type(key) is int for key in hot)
 
     def test_invalid_fraction(self):
         with pytest.raises(ValueError):
